@@ -92,24 +92,32 @@ class PhysicalMemory:
         self.nframes = total_bytes // PAGE_SIZE
         self.max_pinned = int(self.nframes * max_pinned_fraction)
         self._frames: dict[int, Frame] = {}
-        self._free_pfns: list[int] = list(range(self.nframes - 1, -1, -1))
+        # Frames are handed out lazily, so a host costs what it touches, not
+        # its RAM size: pfns at or above ``_next_pfn`` have never been used,
+        # and ``_freed_pfns`` is a LIFO stack of frames returned by ``free``.
+        self._next_pfn = 0
+        self._freed_pfns: list[int] = []
         self.pinned_frames = 0
         self.alloc_count = 0
         self.free_count = 0
 
     @property
     def free_frames(self) -> int:
-        return len(self._free_pfns)
+        return self.nframes - self._next_pfn + len(self._freed_pfns)
 
     @property
     def used_frames(self) -> int:
-        return self.nframes - len(self._free_pfns)
+        return self._next_pfn - len(self._freed_pfns)
 
     def allocate(self) -> Frame:
-        """Take a free frame (lowest-numbered free pfn for determinism)."""
-        if not self._free_pfns:
+        """Take the last frame freed, else the lowest never-used one."""
+        if self._freed_pfns:
+            pfn = self._freed_pfns.pop()
+        elif self._next_pfn < self.nframes:
+            pfn = self._next_pfn
+            self._next_pfn += 1
+        else:
             raise OutOfMemory(f"all {self.nframes} frames in use")
-        pfn = self._free_pfns.pop()
         frame = self._frames.get(pfn)
         if frame is None:
             frame = Frame(pfn)
@@ -147,7 +155,7 @@ class PhysicalMemory:
             )
         frame.in_use = False
         frame.map_count = 0
-        self._free_pfns.append(frame.pfn)
+        self._freed_pfns.append(frame.pfn)
         self.free_count += 1
 
     # -- pin accounting ----------------------------------------------------

@@ -87,11 +87,15 @@ class _PullState:
     nchunks: int
     chunk_bytes: int
     block_chunks: int
-    received: list[bool] = field(default_factory=list)
+    received: list[bool] = field(init=False)
+    # Every chunk below this index has been received, so the loss scans
+    # start here instead of at chunk 0.
+    first_unreceived: int = 0
+    block_received: list[int] = field(init=False)  # chunks per block
     bytes_received: int = 0
     next_block: int = 0
-    nblocks: int = 0
-    last_request_ns: list[int] = field(default_factory=list)
+    nblocks: int = field(init=False)
+    last_request_ns: list[int] = field(init=False)
     requested_chunks: int = 0  # index one past the last requested chunk
     dma_events: list[Event] = field(default_factory=list)
     # Chunks whose replies were dropped on a receive-side overlap miss;
@@ -106,14 +110,29 @@ class _PullState:
     # pinned; scattered to the user buffers at completion.
     bounce: bytearray | None = None
 
+    def __post_init__(self) -> None:
+        self.received = [False] * self.nchunks
+        self.last_request_ns = [-1] * self.nchunks
+        self.nblocks = ((self.nchunks + self.block_chunks - 1)
+                        // self.block_chunks)
+        self.block_received = [0] * self.nblocks
+
     def chunk_range(self, chunk: int) -> tuple[int, int]:
         off = chunk * self.chunk_bytes
         return off, min(self.chunk_bytes, self.length - off)
 
+    def mark_received(self, chunk: int) -> None:
+        self.received[chunk] = True
+        self.block_received[chunk // self.block_chunks] += 1
+        cursor = self.first_unreceived
+        while cursor < self.nchunks and self.received[cursor]:
+            cursor += 1
+        self.first_unreceived = cursor
+
     def block_complete(self, block: int) -> bool:
         lo = block * self.block_chunks
         hi = min(lo + self.block_chunks, self.nchunks)
-        return all(self.received[lo:hi])
+        return self.block_received[block] == hi - lo
 
 
 @dataclass
@@ -580,9 +599,6 @@ class OpenMXDriver:
             sender_seq=rndv.seq, length=rndv.msg_length, nchunks=nchunks,
             chunk_bytes=chunk, block_chunks=block_chunks,
         )
-        state.received = [False] * nchunks
-        state.last_request_ns = [-1] * nchunks
-        state.nblocks = (nchunks + block_chunks - 1) // block_chunks
         state.done_event = self.env.event()
         state.span = self.spans.begin("rndv", self.env.now, side="recv",
                                       handle=handle, bytes=rndv.msg_length)
@@ -696,7 +712,8 @@ class OpenMXDriver:
             and state.region.covers(*state.chunk_range(c))
         ]
 
-    def _evidently_lost(self, state: _PullState, chunk_idx: int) -> list[int]:
+    @staticmethod
+    def _evidently_lost(state: _PullState, chunk_idx: int) -> list[int]:
         """Chunks proven lost by the arrival of ``chunk_idx`` (footnote 4).
 
         The fabric and the sender both preserve order, so any chunk that was
@@ -707,7 +724,8 @@ class OpenMXDriver:
         req_time = state.last_request_ns[chunk_idx]
         return [
             c
-            for c in range(min(chunk_idx, state.requested_chunks))
+            for c in range(state.first_unreceived,
+                           min(chunk_idx, state.requested_chunks))
             if not state.received[c] and state.last_request_ns[c] <= req_time
         ]
 
@@ -757,7 +775,8 @@ class OpenMXDriver:
                     self.counters.incr("pull_gave_up")
                     return
                 missing = [
-                    c for c in range(state.requested_chunks)
+                    c for c in range(state.first_unreceived,
+                                     state.requested_chunks)
                     if not state.received[c]
                 ]
                 if missing:
@@ -1010,7 +1029,7 @@ class OpenMXDriver:
                         name="omx.ioat")
                     state.dma_events.append(dma)
         self.spans.end(copy_span, self.env.now)
-        state.received[chunk_idx] = True
+        state.mark_received(chunk_idx)
         state.bytes_received += len(pkt.data)
         self.counters.incr("pull_bytes", len(pkt.data))
 
