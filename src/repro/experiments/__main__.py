@@ -178,7 +178,7 @@ def _run_wanted(wanted: set[str], sizes, collected: dict[str, object],
                                   "Figure 7: IMB PingPong (MiB/s)"))
         print()
     if "table2" in wanted:
-        collected["table2"] = one(run_table2)
+        collected["table2"] = run_table2(jobs=jobs, cache=cache)
         print(format_table2(collected["table2"]))
         print()
     if "overlap-miss" in wanted:

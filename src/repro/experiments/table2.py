@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster import build_cluster
+from repro.experiments.parallel import parallel_map
 from repro.openmx import OpenMXConfig, PinningMode
 from repro.workloads import IsConfig, imb_collective, run_is
 from repro.util.units import KIB, MIB
@@ -67,30 +68,33 @@ def _improvement(base: float, opt: float) -> float:
     return 100.0 * (base - opt) / base
 
 
+# Column order of every row: the baseline, then the two optimizations.
+_MODES = (PinningMode.PIN_PER_COMM, PinningMode.CACHE, PinningMode.OVERLAP)
+
+
 def run_table2(benchmarks: list[str] | None = None,
                sizes: list[int] | None = None,
                include_is: bool = True,
-               is_config: IsConfig | None = None) -> list[Table2Row]:
+               is_config: IsConfig | None = None,
+               *, jobs: int = 1, cache=None) -> list[Table2Row]:
+    """Table 2 rows, each (application, mode) cell one ``parallel_map`` task."""
     benchmarks = benchmarks if benchmarks is not None else TABLE2_BENCHMARKS
     sizes = sizes if sizes is not None else TABLE2_SIZES
-    rows = []
-    for name in benchmarks:
-        base = _collective_time(name, PinningMode.PIN_PER_COMM, sizes)
-        cache = _collective_time(name, PinningMode.CACHE, sizes)
-        overlap = _collective_time(name, PinningMode.OVERLAP, sizes)
-        rows.append(
-            Table2Row(f"IMB {name}", _improvement(base, cache),
-                      _improvement(base, overlap))
-        )
+    labels = [f"IMB {name}" for name in benchmarks]
+    tasks = [(_collective_time, {"benchmark": name, "mode": mode,
+                                 "sizes": sizes})
+             for name in benchmarks for mode in _MODES]
     if include_is:
         cfg = is_config if is_config is not None else IsConfig()
-        base = _is_time(PinningMode.PIN_PER_COMM, cfg)
-        cache = _is_time(PinningMode.CACHE, cfg)
-        overlap = _is_time(PinningMode.OVERLAP, cfg)
-        rows.append(
-            Table2Row("NPB is (scaled C.4)", _improvement(base, cache),
-                      _improvement(base, overlap))
-        )
+        labels.append("NPB is (scaled C.4)")
+        tasks.extend((_is_time, {"mode": mode, "is_config": cfg})
+                     for mode in _MODES)
+    times = parallel_map(tasks, jobs=jobs, cache=cache)
+    rows = []
+    for i, label in enumerate(labels):
+        base, cached, overlapped = times[3 * i:3 * i + 3]
+        rows.append(Table2Row(label, _improvement(base, cached),
+                              _improvement(base, overlapped)))
     return rows
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.openmx import OpenMXConfig, PinningMode
-from repro.workloads import IsConfig, run_is
+from repro.workloads import IsConfig, npb_is, run_is
 
 
 def make_cluster(mode=PinningMode.CACHE):
@@ -14,7 +14,7 @@ def make_cluster(mode=PinningMode.CACHE):
 
 def test_is_runs_and_verifies():
     result = run_is(make_cluster(), IsConfig(total_keys=1 << 18, iterations=2))
-    assert result.verified
+    assert result.verified is True
     assert result.nranks == 4
     assert result.elapsed_ns > 0
     assert result.per_iteration_ns == result.elapsed_ns / 2
@@ -48,3 +48,17 @@ def test_is_two_ranks():
     result = run_is(cluster, IsConfig(total_keys=1 << 16, iterations=1))
     assert result.verified
     assert result.nranks == 2
+
+
+def test_is_verification_catches_a_corrupted_exchange(monkeypatch):
+    real_alltoall = npb_is.alltoall
+
+    def corrupting_alltoall(rc, send_va, recv_va, chunk_bytes):
+        yield from real_alltoall(rc, send_va, recv_va, chunk_bytes)
+        if rc.rank == 0:
+            # Keys stay below size * 1000, so this is never a real key.
+            rc.write(recv_va, b"\xff\xff\xff\xff")
+
+    monkeypatch.setattr(npb_is, "alltoall", corrupting_alltoall)
+    result = run_is(make_cluster(), IsConfig(total_keys=1 << 16, iterations=1))
+    assert result.verified is False
