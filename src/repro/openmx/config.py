@@ -125,12 +125,6 @@ class OpenMXConfig:
     poll_slice_ns: int = 5_000  # completion-spin granularity
     match_cost_ns: int = 500  # matching + queue bookkeeping per message
 
-    # Debug: dispatch endpoint MMU invalidations by scanning every declared
-    # region (the pre-index slow path) instead of the interval index.  The
-    # two must behave identically; property tests and the vm_churn A/B
-    # compare them.
-    notifier_linear_oracle: bool = False
-
     def __post_init__(self):
         if self.data_frame_payload <= 0:
             raise ValueError("data_frame_payload must be positive")

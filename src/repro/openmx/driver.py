@@ -217,20 +217,6 @@ class _EndpointNotifier:
 
     def invalidate_range(self, start: int, end: int) -> None:
         mgr = self.ep.driver.pin_mgr
-        if self.ep.driver.config.notifier_linear_oracle:
-            # Debug slow path: scan every declared region's every segment.
-            # Region ids are handed out in increasing order and the regions
-            # dict preserves insertion order, so the fast path's sorted-rid
-            # dispatch below visits regions in exactly this order.
-            for region in self.ep.regions.values():
-                if region.watermark == 0 and region.state.value != "pinning":
-                    continue
-                if any(
-                    seg.va < end and start < seg.va + seg.length
-                    for seg in region.segments
-                ):
-                    mgr.invalidated(region)
-            return
         for rid in self.ep.region_index.overlapping(start, end):
             region = self.ep.regions[rid]
             if region.watermark == 0 and region.state.value != "pinning":

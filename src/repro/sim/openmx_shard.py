@@ -1,19 +1,18 @@
 """Full-stack Open-MX scenarios sharded under the conservative PDES
 coordinator.
 
-``pdes_soak`` (:mod:`repro.sim.pdes`) proved the coordinator on abstract
-fabric-level hosts; this module puts the **whole Open-MX stack** — kernel,
-MMU notifiers, pin service, driver, rndv/eager protocol, softirq engine,
-NIC — on it.  Each shard builds a genuine sub-cluster
-(:func:`repro.cluster.builder.build_cluster` with a ``shard_plan``): only
-its slice of the global host set is constructed, with global names, wired
-to a :class:`~repro.cluster.network.ShardEtherFabric` that delivers
+This module puts the **whole Open-MX stack** — kernel, MMU notifiers, pin
+service, driver, rndv/eager protocol, softirq engine, NIC — on the
+coordinator of :mod:`repro.sim.pdes`.  Each shard builds a genuine
+sub-cluster (:func:`repro.cluster.builder.build_cluster` with a
+``shard_plan``): only its slice of the global host set is constructed,
+with global names, wired to a
+:class:`~repro.cluster.network.ShardEtherFabric` that delivers
 shard-local Ethernet frames itself and marshals cross-shard frames —
 eager frags, rndv, pull req/reply, notify, liback, the real wire packets —
 through the coordinator's barrier exchange.
 
-Determinism.  The byte-identity argument is the PR 8 one, restated for a
-full stack:
+Determinism.  Sharded runs are byte-identical to serial ones because:
 
 * hosts share **no state** but the fabric — every kernel, pin service,
   address space, driver and endpoint is per-host, and the protocol has no
@@ -327,6 +326,15 @@ class OpenmxShard:
         self.fabric.ingress(entries)
 
     def run_window(self, until: int):
+        """Run one conservative window; return (egress, next_time, busy_s).
+
+        ``busy_s`` is **CPU** time, not wall time: forked shards time-share
+        the host's cores, so the wall one worker observes inside ``run()``
+        is inflated by however many siblings were runnable at once.  CPU
+        time is contention-free, which makes the coordinator's critical
+        path (sum over windows of the slowest shard's busy time) an honest
+        lower bound on the sharded wall of an uncontended host.
+        """
         t0 = _time.process_time()
         self.env.run(until=until)
         busy = _time.process_time() - t0

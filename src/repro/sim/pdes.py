@@ -18,14 +18,14 @@ Any frame carried *during* that window is sent at an instant ``t >= gmin``
 ``t + latency >= gmin + lookahead > end`` — strictly after the window.
 Cross-shard traffic therefore only ever lands in a *future* window, and
 exchanging frames at the barrier between windows is race-free.
-:meth:`repro.cluster.network.ShardFabric.ingress` enforces this with a
-hard error rather than trusting the math.  The null-message trick falls
+:meth:`repro.cluster.network.ShardEtherFabric.ingress` enforces this with
+a hard error rather than trusting the math.  The null-message trick falls
 out of the same rule: an idle shard reports ``next_event_time() = None``
 and simply stops constraining ``gmin``, so windows stretch to the next
 real work instead of ticking through dead air.
 
 Determinism.  The whole point of the exercise is that sharded runs are
-**byte-identical** to serial ones.  Three disciplines make that true:
+**byte-identical** to serial ones.  Two disciplines make that true:
 
 * *Canonical same-instant merge order* — the shard fabric batches
   deliveries per ``(arrival, destination)`` and sorts each batch by the
@@ -34,48 +34,36 @@ Determinism.  The whole point of the exercise is that sharded runs are
 * *Pure fault plans* — :class:`SeededFaultPlan` decides drop/duplicate/
   delay from a hash of ``(seed, src, dst, seq)`` alone, so chaos verdicts
   are identical at every shard count.
-* *Parity alignment* — the soak workload sends requests at even instants
-  over an odd latency, so requests arrive at odd instants, responses at
-  even ones, and no two state-sharing callbacks ever collide on the same
-  instant (see :class:`SoakHost`).
 
 Because the window sequence itself is a pure function of global event
-times (identical at every shard count), ``run_shards(params, 1)`` *is*
-the serial baseline: same code path, same windows, no cross-shard
-traffic.  The A/B harness (:func:`run_pdes_ab`) interleaves serial and
-sharded runs and aborts on the first end-state divergence.
+times (identical at every shard count), a one-shard run *is* the serial
+baseline: same code path, same windows, no cross-shard traffic.  The
+full-stack scenario riding on this coordinator is
+:mod:`repro.sim.openmx_shard`.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import multiprocessing
 import os
-import random
 import time as _time
 import traceback
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cluster.builder import ShardPlan, partition_hosts
-from repro.cluster.network import ShardFabric, ShardFrame
+from repro.cluster.builder import ShardPlan
 from repro.experiments.parallel import merge_worker_registries
 from repro.obs.metrics import MetricRegistry, current_registry
-from repro.sim.engine import Environment, SimulationError
+from repro.sim.engine import SimulationError
 
 __all__ = [
     "SeededFaultPlan",
-    "SoakHost",
-    "SoakParams",
-    "SoakShard",
     "host_core_count",
-    "pdes_sim_state",
     "resolve_shards",
     "run_partitioned",
-    "run_pdes_ab",
-    "run_shards",
-    "soak_params",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -101,8 +89,7 @@ class SeededFaultPlan:
     ``plan(src, dst, seq) -> (drop, copies, extra_delay_ns)`` depends only
     on ``(seed, src, dst, seq)`` — never on which shard evaluates it or in
     what order — so a faulted run makes identical decisions at every shard
-    count.  Extra delay is quantised to an **even** number of nanoseconds
-    to preserve the soak workload's parity discipline (see module doc).
+    count.  Extra delay is a whole number of ``delay_quantum_ns``.
     """
 
     seed: int
@@ -113,9 +100,6 @@ class SeededFaultPlan:
     max_delay_quanta: int = 8
 
     def __post_init__(self) -> None:
-        if self.delay_quantum_ns % 2:
-            raise ValueError("delay_quantum_ns must be even (parity "
-                             f"discipline), got {self.delay_quantum_ns}")
         if self.max_delay_quanta <= 0:
             raise ValueError("max_delay_quanta must be positive")
 
@@ -136,199 +120,14 @@ class SeededFaultPlan:
         return drop, copies, extra
 
 
-@dataclass(frozen=True)
-class SoakParams:
-    """Shape of the ``pdes_soak`` scenario.  Frozen and picklable: the
-    coordinator hands one copy to every forked shard worker."""
-
-    nhosts: int = 8
-    rounds: int = 600
-    seed: int = 2009
-    latency_ns: int = 120_001
-    max_gap_ns: int = 16_000
-    load_procs: int = 3
-    load_tick_lo: int = 200
-    load_tick_hi: int = 1_200
-    fault: SeededFaultPlan | None = None
-
-    def __post_init__(self) -> None:
-        if self.nhosts < 2:
-            raise ValueError("soak needs at least 2 hosts")
-        if self.latency_ns % 2 == 0:
-            # Odd latency + even send instants + even fault delays ==
-            # requests arrive at odd instants, responses at even ones:
-            # the parity split that keeps same-instant callbacks from
-            # ever sharing mutable state.
-            raise ValueError(f"latency_ns must be odd, got {self.latency_ns}")
-        if self.max_gap_ns < 4:
-            raise ValueError("max_gap_ns too small")
-
-
-class SoakHost:
-    """One host of the soak workload: request generator, responder, and a
-    pack of local load-tick processes.
-
-    Parity discipline (what keeps every shard count byte-identical):
-
-    * the generator sends ``kind="req"`` frames at **even** instants
-      (gaps are ``2 * randrange(...)``, starting from 0);
-    * latency is odd and fault delays even, so requests arrive at **odd**
-      instants; the delivery handler answers with ``kind="rsp"``
-      immediately, so responses arrive back at **even** instants;
-    * response handlers never send (two-hop traffic only), so the per-host
-      sequence counter is only touched by the generator (even instants)
-      and by request deliveries (odd instants) — never concurrently;
-    * the generator's shutdown flag flips at an **odd** instant while
-      load ticks fire at even ones, so a tick can never straddle the flip;
-    * load processes own private RNGs and touch only their own counter.
-
-    The receive digest folds every delivered frame in the fabric's
-    canonical order, so it is a byte-exact witness of delivery history.
-    """
-
-    def __init__(self, env: Environment, host_id: int, params: SoakParams,
-                 fabric: ShardFabric):
-        self.env = env
-        self.id = host_id
-        self.params = params
-        self.fabric = fabric
-        self.active = True
-        self.tx_req = 0
-        self.tx_rsp = 0
-        self.rx_req = 0
-        self.rx_rsp = 0
-        self.rx_bytes = 0
-        self.load_work = 0
-        self._digest = hashlib.sha256()
-        fabric.attach(host_id, self.deliver)
-        env.process(self._traffic(), name=f"soak-traffic-{host_id}")
-        for j in range(params.load_procs):
-            env.process(self._load(j), name=f"soak-load-{host_id}.{j}")
-
-    def deliver(self, frame: ShardFrame, now: int) -> None:
-        self._digest.update(
-            f"{now}:{frame.src}:{frame.seq}:{frame.copy}:"
-            f"{frame.kind}:{frame.nbytes}\n".encode())
-        self.rx_bytes += frame.nbytes
-        if frame.kind == "req":
-            self.rx_req += 1
-            nbytes = 64 + (frame.nbytes * 7 + frame.seq * 13 + frame.src) % 1_400
-            self.fabric.send(self.id, frame.src, "rsp", nbytes)
-            self.tx_rsp += 1
-        else:
-            self.rx_rsp += 1
-
-    def _traffic(self):
-        p = self.params
-        rng = random.Random(_mix(p.seed * 0x10001 + self.id))
-        for _ in range(p.rounds):
-            yield self.env.timeout(2 * rng.randrange(1, p.max_gap_ns // 2))
-            peer = rng.randrange(p.nhosts - 1)
-            if peer >= self.id:
-                peer += 1
-            self.fabric.send(self.id, peer, "req", rng.randrange(64, 1_500))
-            self.tx_req += 1
-        # Keep load ticking roughly until the last responses are home,
-        # then stop.  The +1 makes the flip instant odd (see class doc).
-        max_extra = p.fault.max_extra_delay_ns if p.fault is not None else 0
-        yield self.env.timeout(2 * (p.latency_ns + max_extra) + 1)
-        self.active = False
-
-    def _load(self, j: int):
-        p = self.params
-        rng = random.Random(_mix(p.seed * 0x20003 + self.id * 0x101 + j))
-        while self.active:
-            yield self.env.timeout(2 * rng.randrange(p.load_tick_lo,
-                                                     p.load_tick_hi))
-            self.load_work += 1
-
-    def state(self) -> dict:
-        return {
-            "id": self.id,
-            "tx_req": self.tx_req,
-            "tx_rsp": self.tx_rsp,
-            "rx_req": self.rx_req,
-            "rx_rsp": self.rx_rsp,
-            "rx_bytes": self.rx_bytes,
-            "load_work": self.load_work,
-            "digest": self._digest.hexdigest(),
-        }
-
-
-class SoakShard:
-    """One shard: a private environment + registry simulating the subset
-    of hosts :attr:`plan.shards[shard_id]` assigned to it."""
-
-    def __init__(self, shard_id: int, plan: ShardPlan, params: SoakParams):
-        self.shard_id = shard_id
-        self.plan = plan
-        self.params = params
-        self.registry = MetricRegistry()
-        env = Environment()
-        env.metrics = self.registry
-        self.env = env
-        local = plan.shards[shard_id]
-        self.fabric = ShardFabric(env, params.latency_ns, local,
-                                  fault=params.fault, metrics=self.registry)
-        self.hosts = {h: SoakHost(env, h, params, self.fabric)
-                      for h in local}
-
-    def next_time(self) -> int | None:
-        return self.env.next_event_time()
-
-    def ingress(self, entries) -> None:
-        self.fabric.ingress(entries)
-
-    def run_window(self, until: int):
-        """Run one conservative window; return (egress, next_time, busy_s).
-
-        ``busy_s`` is **CPU** time, not wall time: forked shards time-share
-        the host's cores, so the wall time one worker observes inside
-        ``run()`` is inflated by however many siblings were runnable at
-        once.  CPU time is contention-free, which makes the coordinator's
-        critical path (sum over windows of the slowest shard's busy time)
-        an honest lower bound on the sharded wall of an uncontended host.
-        """
-        t0 = _time.process_time()
-        self.env.run(until=until)
-        busy = _time.process_time() - t0
-        return self.fabric.take_egress(), self.env.next_event_time(), busy
-
-    def end_state(self) -> dict:
-        fab = self.fabric
-        return {
-            "now_ns": self.env.now,
-            "events": self.env.events_processed,
-            "hosts": [self.hosts[h].state() for h in sorted(self.hosts)],
-            # Shard-count-independent fabric totals only: the local vs
-            # cross-shard split obviously depends on the partition.
-            "fabric": {
-                "carried": fab.frames_carried,
-                "dropped": fab.frames_dropped,
-                "duplicated": fab.frames_duplicated,
-                "delayed": fab.frames_delayed,
-                "delivered": fab.frames_delivered,
-            },
-        }
-
-
 # -- worker plumbing ----------------------------------------------------------
 #
 # The plumbing is *generic*: a shard factory is any picklable callable
-# ``factory(shard_id, plan) -> shard`` returning an object with the
-# SoakShard protocol — ``next_time()``, ``ingress(entries)``,
+# ``factory(shard_id, plan) -> shard`` returning an object with the shard
+# protocol — ``next_time()``, ``ingress(entries)``,
 # ``run_window(until) -> (egress, next_time, busy_s)``, ``end_state()``,
-# and a ``registry`` attribute.  ``pdes_soak`` and the full-stack
-# ``openmx_shard`` scenario (:mod:`repro.sim.openmx_shard`) both ride on
-# the same coordinator through their factories.
-
-
-@dataclass(frozen=True)
-class _SoakFactory:
-    params: SoakParams
-
-    def __call__(self, shard_id: int, plan: ShardPlan) -> SoakShard:
-        return SoakShard(shard_id, plan, self.params)
+# and a ``registry`` attribute (see
+# :class:`repro.sim.openmx_shard.OpenmxShard`).
 
 
 def _shard_worker(conn, shard_id: int, plan: ShardPlan, factory) -> None:
@@ -358,9 +157,17 @@ def _shard_worker(conn, shard_id: int, plan: ShardPlan, factory) -> None:
 
 
 class _ForkHandle:
-    """Coordinator-side proxy for a forked shard worker."""
+    """Coordinator-side proxy for a forked shard worker.
+
+    A worker that dies without reporting (killed by a signal, the OOM
+    killer, ``os._exit``) breaks the pipe; both directions turn that into
+    a :class:`SimulationError` naming the shard and the worker's exit
+    code instead of a bare ``BrokenPipeError`` or ``EOFError``.
+    """
 
     def __init__(self, shard_id: int, plan: ShardPlan, factory, ctx) -> None:
+        self.shard_id = shard_id
+        self.finished = False
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(target=_shard_worker,
                                 args=(child, shard_id, plan, factory),
@@ -368,8 +175,23 @@ class _ForkHandle:
         self.proc.start()
         child.close()
 
+    def _died(self, exc: BaseException) -> SimulationError:
+        self.proc.join(timeout=1)
+        return SimulationError(
+            f"PDES shard {self.shard_id} worker died without reporting "
+            f"(exitcode {self.proc.exitcode}): {exc!r}")
+
+    def _send(self, msg: tuple) -> None:
+        try:
+            self.conn.send(msg)
+        except OSError as exc:
+            raise self._died(exc) from exc
+
     def _recv(self, want: str):
-        msg = self.conn.recv()
+        try:
+            msg = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._died(exc) from exc
         if msg[0] == "error":
             raise SimulationError(f"PDES shard worker failed:\n{msg[1]}")
         if msg[0] != want:
@@ -381,20 +203,26 @@ class _ForkHandle:
         return self._recv("time")[0]
 
     def start_window(self, end: int, ingress) -> None:
-        self.conn.send(("window", end, ingress))
+        self._send(("window", end, ingress))
 
     def finish_window(self):
         return self._recv("done")
 
     def finish(self):
-        self.conn.send(("finish",))
-        return self._recv("state")
+        self._send(("finish",))
+        reply = self._recv("state")
+        self.finished = True
+        return reply
 
     def close(self) -> None:
         try:
             self.conn.close()
         except OSError:
             pass
+        if not self.finished:
+            # Aborted run: the worker still waits for a command.  It holds
+            # its own copy of this pipe, so closing our end cannot wake it.
+            self.proc.terminate()
         self.proc.join(timeout=10)
         if self.proc.is_alive():
             self.proc.terminate()
@@ -488,8 +316,15 @@ def run_partitioned(factory, plan: ShardPlan, *, lookahead_ns: int,
     wall_start = _time.perf_counter()
     if mode == "fork":
         ctx = multiprocessing.get_context("fork")
-        handles = [_ForkHandle(s, plan, factory, ctx)
-                   for s in range(plan.nshards)]
+        # Frozen objects are invisible to the workers' collector: a full
+        # collection in a worker would otherwise touch every object it
+        # inherited and copy-on-write the coordinator's whole heap.
+        gc.freeze()
+        try:
+            handles = [_ForkHandle(s, plan, factory, ctx)
+                       for s in range(plan.nshards)]
+        finally:
+            gc.unfreeze()
     else:
         handles = [_InlineHandle(s, plan, factory)
                    for s in range(plan.nshards)]
@@ -572,30 +407,6 @@ def run_partitioned(factory, plan: ShardPlan, *, lookahead_ns: int,
     }
 
 
-def run_shards(params: SoakParams, nshards: int, *,
-               lookahead_ns: int | None = None, mode: str | None = None,
-               strategy: str = "block",
-               registry: MetricRegistry | None = None) -> dict:
-    """Run the soak scenario across ``nshards`` conservative PDES shards.
-
-    Thin wrapper over :func:`run_partitioned` with the soak factory and a
-    lookahead derived from (and validated against) the soak fabric
-    latency.
-    """
-    plan = partition_hosts(params.nhosts, nshards, strategy)
-    if lookahead_ns is None:
-        lookahead_ns = params.latency_ns
-    if not 0 < lookahead_ns <= params.latency_ns:
-        raise ValueError(
-            f"lookahead_ns must be in (0, latency_ns={params.latency_ns}], "
-            f"got {lookahead_ns}")
-    out = run_partitioned(_SoakFactory(params), plan,
-                          lookahead_ns=lookahead_ns, mode=mode,
-                          registry=registry)
-    out["stats"]["strategy"] = strategy
-    return out
-
-
 # -- shard-count policy -------------------------------------------------------
 
 
@@ -631,92 +442,3 @@ def resolve_shards(spec: int | str, default: int = 4) -> int:
     if value <= 0:
         raise ValueError(f"shard count must be positive, got {value}")
     return value
-
-
-# -- canned scenario + A/B harness -------------------------------------------
-
-
-def soak_params(quick: bool = False, seed: int = 2009,
-                fault_seed: int | None = None, nhosts: int = 8) -> SoakParams:
-    """The canned ``pdes_soak`` shape used by the bench CLI and CI gates."""
-    fault = None
-    if fault_seed is not None:
-        fault = SeededFaultPlan(seed=fault_seed, drop_per_mille=25,
-                                dup_per_mille=15, delay_per_mille=40)
-    return SoakParams(nhosts=nhosts,
-                      rounds=60 if quick else 900,
-                      seed=seed,
-                      load_procs=2 if quick else 3,
-                      fault=fault)
-
-
-def pdes_sim_state(quick: bool = False, shards: int = 1, seed: int = 2009,
-                   chaos_seed: int = 7, mode: str | None = None) -> dict:
-    """Clean + chaos end states for one shard count — the CI digest gate
-    diffs this JSON across ``--shards {1,2,4}`` and requires equality."""
-    clean = run_shards(soak_params(quick=quick, seed=seed), shards,
-                       mode=mode)
-    chaos = run_shards(soak_params(quick=quick, seed=seed,
-                                   fault_seed=chaos_seed), shards, mode=mode)
-    return {
-        "schema": "repro.pdes.sim/v1",
-        "quick": quick,
-        "shards": shards,
-        "clean": clean["state"],
-        "chaos": chaos["state"],
-    }
-
-
-def run_pdes_ab(quick: bool = False, shards: int = 4, repeat: int = 3,
-                seed: int = 2009, lookahead_ns: int | None = None) -> dict:
-    """Interleaved serial-vs-sharded A/B with an end-state equality gate.
-
-    Runs ``repeat`` interleaved (serial inline, sharded fork) pairs,
-    aborts the process on the first end-state divergence, and reports
-    best-of walls.  ``critical_path_s`` — the sum over windows of the
-    slowest shard's busy time — is what the sharded wall converges to on
-    a machine with >= ``shards`` free cores; on a busy or small host the
-    measured wall is honest and the critical path shows the headroom.
-    """
-    params = soak_params(quick=quick, seed=seed)
-    serial_best = float("inf")
-    sharded_best = float("inf")
-    golden = None
-    best_stats = None
-    for _ in range(repeat):
-        a = run_shards(params, 1, mode="inline", lookahead_ns=lookahead_ns)
-        b = run_shards(params, shards, mode="fork", lookahead_ns=lookahead_ns)
-        if a["state"] != b["state"]:
-            raise SystemExit(
-                "PDES A/B divergence: serial digest "
-                f"{a['state']['digest']} != sharded ({shards}) digest "
-                f"{b['state']['digest']}")
-        golden = a["state"]
-        serial_best = min(serial_best, a["stats"]["wall_s"])
-        if b["stats"]["wall_s"] < sharded_best:
-            sharded_best = b["stats"]["wall_s"]
-            best_stats = b["stats"]
-    host_cores = host_core_count()
-    return {
-        "schema": "repro.bench.pdes/v1",
-        "scenario": "pdes_soak",
-        "quick": quick,
-        "shards": shards,
-        "repeat": repeat,
-        "host_cores": host_cores,
-        # More forked shards than free cores: the sharded *wall* below is
-        # dominated by time-sharing, not by the algorithm — read
-        # critical_path_speedup instead (and consider --shards auto).
-        "core_starved": host_cores < shards,
-        "serial_wall_s": serial_best,
-        "sharded_wall_s": sharded_best,
-        "speedup": serial_best / sharded_best if sharded_best else 0.0,
-        "critical_path_s": best_stats["critical_path_s"],
-        "critical_path_speedup": (serial_best / best_stats["critical_path_s"]
-                                  if best_stats["critical_path_s"] else 0.0),
-        "windows": best_stats["windows"],
-        "cross_shard_frames": best_stats["cross_shard_frames"],
-        "barrier_idle_s": best_stats["barrier_idle_s"],
-        "digest": golden["digest"],
-        "events": golden["events"],
-    }

@@ -121,22 +121,26 @@ def test_repeated_heavy_loss_still_delivers():
     run_transfer(cluster, 4 * MIB)
 
 
-def test_drop_rule_shim_still_works():
-    """The legacy ``drop_rule`` hook is deprecated but must keep working
-    until callers migrate to fault injectors."""
+def test_custom_on_frame_injector_drops_third_pull_reply():
+    """Any object with ``on_frame(frame, now)`` is a fault injector; a
+    hand-written one that drops the 3rd PullReply forces a re-request."""
+    from repro.cluster.network import FrameVerdict
     from repro.openmx import PullReply
 
+    class DropThirdPullReply:
+        def __init__(self):
+            self.seen = 0
+
+        def on_frame(self, frame, now):
+            if not isinstance(frame.payload, PullReply):
+                return None
+            self.seen += 1
+            return FrameVerdict(drop=True) if self.seen == 3 else None
+
     cluster = build_cluster(config=OpenMXConfig(pinning_mode=PinningMode.CACHE))
-    seen = {"n": 0}
-
-    def rule(frame):
-        if isinstance(frame.payload, PullReply):
-            seen["n"] += 1
-            return seen["n"] == 3
-        return False
-
-    with pytest.warns(DeprecationWarning):
-        cluster.fabric.drop_rule = rule
+    injector = DropThirdPullReply()
+    cluster.fabric.add_fault_injector(injector)
     run_transfer(cluster, 1 * MIB)
-    assert seen["n"] >= 3
+    assert injector.seen >= 3
+    assert cluster.fabric.frames_dropped == 1
     assert cluster.nodes[1].driver.counters["pull_rerequest"] >= 1

@@ -3,7 +3,7 @@ exercised over the real fabric between two hosts."""
 
 import pytest
 
-from repro.cluster.network import Fabric
+from repro.cluster.network import Fabric, FrameVerdict
 from repro.hw import XEON_E5460, EthernetFrame, Host
 from repro.kernel import ETH_P_OMX, Kernel
 from repro.kernel.context import AcquiringContext
@@ -111,7 +111,7 @@ def test_bh_starves_user_work_on_same_core():
     assert finished["user"] > 500_000
 
 
-def test_fabric_drop_rule():
+def test_fabric_fault_injector_drops_frames():
     env, h0, h1, k0, k1, fabric = build_pair()
     received = []
 
@@ -119,8 +119,12 @@ def test_fabric_drop_rule():
         received.append(frame.payload)
         yield from ctx.charge(1)
 
+    class DropEven:
+        def on_frame(self, frame, now):
+            return FrameVerdict(drop=True) if frame.payload % 2 == 0 else None
+
     k1.ethernet.register_protocol(ETH_P_OMX, handler)
-    fabric.drop_rule = lambda f: f.payload % 2 == 0
+    fabric.add_fault_injector(DropEven())
 
     def sender():
         ctx = AcquiringContext(env, h0.cores[1])

@@ -12,6 +12,7 @@ from repro.sim.openmx_shard import (
     expected_count,
     make_plan,
     openmx_params,
+    openmx_sim_state,
     run_openmx,
     schedule,
     traffic_matrix,
@@ -100,9 +101,9 @@ def test_partition_strategies_share_one_digest():
 
 
 def test_lookahead_must_respect_fabric_latency():
-    with pytest.raises(ValueError):
-        run_openmx(SMALL, 2, mode="inline",
-                   lookahead_ns=SMALL.latency_ns + 1)
+    for bad in (SMALL.latency_ns + 1, 0):
+        with pytest.raises(ValueError):
+            run_openmx(SMALL, 2, mode="inline", lookahead_ns=bad)
     half = SMALL.latency_ns // 2
     out = run_openmx(SMALL, 2, mode="inline", lookahead_ns=half)
     # Same lookahead -> identical end state, clock included.
@@ -158,6 +159,17 @@ def test_builder_rejects_fault_without_plan_and_plan_mismatch():
         build_cluster(nhosts=2, shard_fault=SeededFaultPlan(seed=1))
     with pytest.raises(ValueError):
         build_cluster(nhosts=3, shard_plan=partition_hosts(4, 2))
+
+
+def test_openmx_sim_state_shape():
+    state = openmx_sim_state(quick=True, shards=2, mode="inline")
+    assert state["schema"] == "repro.openmx-shard.sim/v1"
+    assert state["shards"] == 2
+    for leg in ("clean", "chaos"):
+        assert set(state[leg]) == {"now_ns", "events", "hosts", "fabric",
+                                   "digest"}
+        assert len(state[leg]["hosts"]) == openmx_params(quick=True).nhosts
+    assert state["clean"]["digest"] != state["chaos"]["digest"]
 
 
 def test_openmx_shard_end_state_is_partition_independent_shape():
