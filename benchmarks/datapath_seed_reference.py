@@ -11,7 +11,7 @@ pieces that the event-coalescing change rewrote:
   per-packet charge as its own timeout before every dispatch (two heap
   events per frame instead of one fused charge).
 
-``python -m repro.sim.bench --ab-datapath benchmarks/datapath_seed_reference.py``
+``python -m repro.sim.bench --ab benchmarks/datapath_seed_reference.py datapath_pull``
 builds the same two-senders-one-receiver scenario on this stack and on the
 current one, strictly interleaved, and refuses to report a speedup unless
 both simulations end in exactly the same state (same final clock, same

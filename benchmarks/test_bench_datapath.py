@@ -13,12 +13,12 @@ import pytest
 
 from repro.cluster.network import FrameVerdict
 from repro.sim import Environment
-from repro.sim.bench import SCENARIOS, _datapath_pull, run_datapath_ab
+from repro.sim.bench import SCENARIOS, _datapath_pull, run_benchmarks
 
 from benchmarks.conftest import full_sweep
 
 SEED_STACK = Path(__file__).with_name("datapath_seed_reference.py")
-QUICK_ROUNDS = SCENARIOS["datapath_pull"][2]
+QUICK_ROUNDS = SCENARIOS["datapath_pull"].quick_rounds
 
 
 def _run(rounds=3, stack=None, rig=None):
@@ -32,10 +32,11 @@ def _run(rounds=3, stack=None, rig=None):
 
 
 def test_datapath_ab_identical_end_state_fewer_events(run_once):
-    # run_datapath_ab raises SystemExit if the seed stack and the current
-    # stack disagree on any simulated end-state field.
-    report = run_once(run_datapath_ab, str(SEED_STACK),
+    # The A/B raises SystemExit if the seed stack and the current stack
+    # disagree on any simulated end-state field.
+    report = run_once(run_benchmarks, ["datapath_pull"], ref=str(SEED_STACK),
                       quick=not full_sweep(), repeat=1)
+    report = report["scenarios"]["datapath_pull"]
     assert report["events"] < report["baseline_events"]
     assert report["event_reduction"] > 0.5
     assert report["sim_state"]["handled_frames"] > 0

@@ -17,12 +17,13 @@ OPENMX_QUICK_STATE = Path(__file__).with_name("openmx_shard_quick.json")
 
 
 def test_openmx_ab_identical_end_state(run_once):
-    from repro.sim.openmx_shard import run_openmx_ab
+    from repro.sim.bench import run_benchmarks
 
     # Raises SystemExit if serial and sharded full-stack runs disagree on
     # any end-state byte, for any partition strategy.
-    report = run_once(run_openmx_ab, quick=not full_sweep(), shards=4,
-                      repeat=1)
+    report = run_once(run_benchmarks, ["openmx_shard"],
+                      quick=not full_sweep(), shards=4, repeat=1)
+    report = report["scenarios"]["openmx_shard"]
     assert report["shards"] == 4
     assert report["nhosts"] >= 16
     assert report["windows"] > 1
@@ -31,8 +32,8 @@ def test_openmx_ab_identical_end_state(run_once):
     assert isinstance(report["core_starved"], bool)
     assert report["strategies"]["affinity"] <= report["strategies"]["block"]
     print()
-    print(f"openmx_shard: serial {report['serial_wall_s']:.3f}s vs "
-          f"4 shards {report['sharded_wall_s']:.3f}s "
+    print(f"openmx_shard: serial {report['baseline_wall_s']:.3f}s vs "
+          f"4 shards {report['wall_s']:.3f}s "
           f"({report['speedup']:.2f}x wall on {report['host_cores']} "
           f"core(s), {report['critical_path_speedup']:.2f}x critical path; "
           f"affinity cut {report['affinity_cut_vs_block']:.1%} vs block)")
@@ -50,14 +51,15 @@ def test_openmx_every_shard_count_lands_on_one_digest():
 
 
 def test_openmx_critical_path_shrinks_with_shards():
-    from repro.sim.bench import run_openmx_shard
+    from repro.sim.openmx_shard import openmx_params, run_openmx
 
-    quick = not full_sweep()
-    serial = run_openmx_shard(quick=quick, shards=1, repeat=1)
-    sharded = run_openmx_shard(quick=quick, shards=4, repeat=1)
-    assert sharded["digest"] == serial["digest"]
-    assert sharded["events"] == serial["events"]
-    assert sharded["critical_path_s"] < serial["critical_path_s"]
+    params = openmx_params(quick=not full_sweep())
+    serial = run_openmx(params, 1)
+    sharded = run_openmx(params, 4)
+    assert sharded["state"]["digest"] == serial["state"]["digest"]
+    assert sharded["state"]["events"] == serial["state"]["events"]
+    assert (sharded["stats"]["critical_path_s"]
+            < serial["stats"]["critical_path_s"])
 
 
 def test_openmx_committed_quick_state_matches_current_tree():
@@ -67,7 +69,7 @@ def test_openmx_committed_quick_state_matches_current_tree():
     fresh = openmx_sim_state(quick=True, shards=committed["shards"])
     assert fresh == committed, (
         "openmx_shard end state changed — if intentional, regenerate with "
-        "PYTHONPATH=src python -m repro.sim.bench --quick "
-        "--openmx-sim-json benchmarks/openmx_shard_quick.json --shards "
-        f"{committed['shards']}"
+        "PYTHONPATH=src python -m repro.sim.bench --quick --state-json "
+        "benchmarks/openmx_shard_quick.json --shards "
+        f"{committed['shards']} openmx_shard"
     )

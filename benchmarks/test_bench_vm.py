@@ -12,12 +12,12 @@ import json
 from pathlib import Path
 
 from repro.sim import Environment
-from repro.sim.bench import SCENARIOS, _vm_churn, run_vm_ab
+from repro.sim.bench import SCENARIOS, _vm_churn, run_benchmarks
 
 from benchmarks.conftest import full_sweep
 
 SEED_STACK = Path(__file__).with_name("vm_seed_reference.py")
-QUICK_ROUNDS = SCENARIOS["vm_churn"][2]
+QUICK_ROUNDS = SCENARIOS["vm_churn"].quick_rounds
 
 
 def _run(rounds=QUICK_ROUNDS, stack=None):
@@ -28,11 +28,12 @@ def _run(rounds=QUICK_ROUNDS, stack=None):
 
 
 def test_vm_ab_identical_end_state_fewer_events(run_once):
-    # run_vm_ab raises SystemExit if the seed stack and the current stack
+    # The A/B raises SystemExit if the seed stack and the current stack
     # disagree on any simulated end-state field (clock, any per-process
     # counter, any data digest).
-    report = run_once(run_vm_ab, str(SEED_STACK),
+    report = run_once(run_benchmarks, ["vm_churn"], ref=str(SEED_STACK),
                       quick=not full_sweep(), repeat=1)
+    report = report["scenarios"]["vm_churn"]
     assert report["events"] < report["baseline_events"]
     assert report["event_reduction"] > 0.5
     procs = report["sim_state"]["procs"]

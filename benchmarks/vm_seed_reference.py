@@ -15,7 +15,7 @@ indexed-lookup change rewrote:
   (one heap event + one core acquisition per pinned page) even when the
   core is uncontended and nothing can observe the intermediate instants.
 
-``python -m repro.sim.bench --ab-vm benchmarks/vm_seed_reference.py`` builds
+``python -m repro.sim.bench --ab benchmarks/vm_seed_reference.py vm_churn`` builds
 the ``vm_churn`` scenario on this stack and on the current one, strictly
 interleaved, and refuses to report a speedup unless both simulations end in
 exactly the same state (same final clock, same fault/pin/invalidation

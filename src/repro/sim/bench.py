@@ -1,11 +1,11 @@
-"""Engine microbenchmark — ``python -m repro.sim.bench``.
+"""Engine and data-path microbenchmarks — ``python -m repro.sim.bench``.
 
-Measures raw dispatch throughput (events/sec) of the discrete-event kernel
-on four synthetic workloads that mirror how the protocol layers actually
-drive it:
+Measures host time per simulated event on scenarios that mirror how the
+protocol layers drive the discrete-event kernel:
 
 * ``timer_churn`` — the retransmit idiom: an ack racing a long timer that
-  almost always loses (PR 2's backoff timers create these in volume).
+  almost always loses (the protocol's backoff timers create these in
+  volume).
   Exercises lazy cancellation and the Timeout free-list.
 * ``timeout_ladder`` — many concurrent processes sleeping in a loop; the
   pure heap + process-resume path.
@@ -22,56 +22,56 @@ drive it:
 * ``datapath_pull`` — a full NIC→fabric→softirq receive storm (two senders
   bursting 4 KiB frames at one receiver whose bottom half is the
   bottleneck); the workload the data-path event-coalescing change targets.
+* ``vm_churn`` — many processes mmap/write/declare/pin/probe/munmap/COW/
+  swap in a loop; the VM-layer index and fused pin charge.
+* ``openmx_shard`` (:mod:`repro.sim.openmx_shard`) — 16 hosts, each with a
+  complete kernel/MMU-notifier/pin-service/driver/NIC stack, exchanging
+  mixed eager/rendezvous traffic under pin pressure, partitioned across
+  ``--shards`` forked workers of the conservative-PDES coordinator
+  (:mod:`repro.sim.pdes`).  ``--shards auto`` caps the count at the
+  host's usable cores (reports flag ``core_starved`` otherwise).
 
 Every scenario is deterministic, so one timed round gives an exact event
 count; wall time is the only noise, which ``--repeat`` (best-of) tames.
+Naming no scenario runs every one that runs on a single engine (all but
+``openmx_shard``).
 
 Usage::
 
     python -m repro.sim.bench                 # full scale, 3 repeats
     python -m repro.sim.bench --quick         # CI smoke (~1 s)
     python -m repro.sim.bench --json BENCH_engine.json
-    python -m repro.sim.bench --baseline old.json   # annotate speedups
     python -m repro.sim.bench --ab benchmarks/engine_seed_reference.py
+    python -m repro.sim.bench --ab benchmarks/vm_seed_reference.py vm_churn
+    python -m repro.sim.bench --shards auto openmx_shard
+    python -m repro.sim.bench --quick --state-json s.json datapath_pull
 
-``--ab`` runs each timed repetition against *both* the current engine and a
-frozen reference engine loaded from the given file, strictly interleaved
-(ref, current, ref, current, ...) within the same process.  On a noisy or
-single-core host this cancels load drift that back-to-back whole-suite runs
-cannot, so the reported speedup is an honest like-for-like ratio.
+``--ab REF`` is the interleaved A/B: every repetition times a reference
+side and then the current tree on the same scenario (ref, current, ref,
+current, ...) in one process, so host-load drift hits both sides equally;
+each side reports its best of ``--repeat``.  What the reference swaps is
+fixed per scenario (:data:`SCENARIOS`): the engine scenarios run on the
+``Environment`` class ``REF`` exports (e.g. the frozen seed engine,
+``benchmarks/engine_seed_reference.py``); ``datapath_pull`` and
+``vm_churn`` build on the class ``STACK`` it exports (the frozen
+pre-coalescing and pre-index stacks in ``benchmarks/``) on the current
+engine; ``openmx_shard``'s reference is built in — the in-process serial
+run against forked shards, plus one sharded run per block/stripe/affinity
+partition — so naming it is enough.
+Every repetition must pass the equivalence gate or the run aborts naming
+every differing leaf (e.g. ``procs[3].pins``): equal event counts for the
+engine scenarios, an equal simulated end state everywhere else (those
+sides dispatch different event counts by design).  Without ``--ab`` the
+other scenarios time the current tree alone.  A reference that does not
+fit a named scenario is rejected before anything runs; with no scenario
+named, ``--ab`` runs every scenario the reference fits.
 
-``--ab-datapath`` does the same for the *data path* instead of the engine:
-the ``datapath_pull`` scenario is built once on a frozen pre-coalescing
-Nic/Fabric/SoftirqEngine stack (``benchmarks/datapath_seed_reference.py``)
-and once on the current one, interleaved, on the same current engine.  The
-two stacks intentionally differ in heap-event count — that is the whole
-optimization — so instead of comparing event totals the harness compares
-the complete simulated end state (final clock, every frame/byte/drop/BH
-counter) and aborts on any difference.  ``--sim-json`` writes that end
-state for the CI drift gate (``benchmarks/datapath_sim_quick.json``).
-
-``--ab-vm`` applies the same discipline to the *VM layer*: the ``vm_churn``
-scenario (many processes mmap/write/declare/pin/probe/munmap/COW/swap in a
-loop) is built once on a frozen pre-index AddressSpace/UserRegion/
-PinService/linear-region-index stack (``benchmarks/vm_seed_reference.py``)
-and once on the current bisect-indexed one.  Equivalence is again the
-complete simulated end state — final clock plus per-process fault/pin/
-notifier counters and data digests.  ``--vm-sim-json`` writes that end
-state for the CI drift gate (``benchmarks/vm_sim_quick.json``).
-
-``openmx_shard`` (:mod:`repro.sim.openmx_shard`) is the conservative-PDES
-scenario (:mod:`repro.sim.pdes`): 16 hosts, each with a complete
-kernel/MMU-notifier/pin-service/driver/NIC stack, exchanging mixed
-eager/rendezvous traffic under pin pressure, partitioned across
-``--shards`` worker processes advancing in lookahead-bounded windows.
-``--ab-openmx`` interleaves serial (``shards=1``, in-process) against
-sharded (forked) runs with a hard end-state equality gate, plus a
-block/stripe/affinity partition comparison; ``--openmx-sim-json`` writes
-the scenario's exact end state at the chosen shard count, which CI diffs
-across ``--shards {1,2,4}`` — byte-identical or the gate fails.  ``--shards
-auto`` caps the default shard count at the host's usable cores (the wall
-speedup is meaningless when shards > cores; reports flag that as
-``core_starved``).
+``--state-json PATH`` writes one scenario's exact simulated end state —
+no timing — for the zero-tolerance drift gates that diff it against
+``benchmarks/datapath_sim_quick.json``, ``benchmarks/vm_sim_quick.json``
+and ``benchmarks/openmx_shard_quick.json`` (the last at ``--shards 2``;
+CI also diffs it across ``--shards {1,2,4}``).  It takes exactly one
+scenario that has a state schema.
 """
 
 from __future__ import annotations
@@ -81,14 +81,14 @@ import importlib.util
 import json
 import sys
 import time
-from typing import Any, Callable
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from repro.sim.engine import Environment
 
-__all__ = ["SCENARIOS", "datapath_sim_state", "run_ab", "run_benchmarks",
-           "run_datapath_ab", "run_openmx_shard",
-           "run_scenario", "run_vm_ab",
-           "vm_sim_state"]
+__all__ = ["SCENARIOS", "Scenario", "format_report", "run_benchmarks",
+           "sim_state"]
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -214,6 +214,16 @@ _DP_BURST = 64          # frames per sender per message
 _DP_GAP_NS = 600_000    # inter-message settle gap (ring fully drains)
 
 
+def _datapath_stack() -> dict[str, type]:
+    """The current tree's classes ``datapath_pull`` builds on."""
+    from repro.cluster.network import Fabric
+    from repro.hw.nic import EthernetFrame, Nic
+    from repro.kernel.interrupts import SoftirqEngine
+
+    return {"EthernetFrame": EthernetFrame, "Nic": Nic, "Fabric": Fabric,
+            "SoftirqEngine": SoftirqEngine}
+
+
 def _datapath_pull(env: Environment, rounds: int, stack=None):
     """Two senders burst 4 KiB frames at one receiver's bottom half.
 
@@ -223,14 +233,10 @@ def _datapath_pull(env: Environment, rounds: int, stack=None):
     complete simulated end state, with the constructed parts hung off it
     (``probe.fabric`` and friends) for tests.
     """
-    from repro.cluster.network import Fabric
     from repro.hw.cpu import CpuCore
-    from repro.hw.nic import EthernetFrame, Nic
     from repro.hw.specs import MYRI_10G, XEON_E5460
-    from repro.kernel.interrupts import SoftirqEngine
 
-    s = stack or {"EthernetFrame": EthernetFrame, "Nic": Nic,
-                  "Fabric": Fabric, "SoftirqEngine": SoftirqEngine}
+    s = stack or _datapath_stack()
     frame_cls = s["EthernetFrame"]
     fabric = s["Fabric"](env, latency_ns=1_000)
     rx = s["Nic"](env, MYRI_10G, "rxhost")
@@ -296,6 +302,17 @@ _VM_PROCS = 6
 _VM_BUFS_PER_ROUND = 3
 
 
+def _vm_stack() -> dict[str, type]:
+    """The current tree's classes ``vm_churn`` builds on."""
+    from repro.kernel.address_space import AddressSpace
+    from repro.kernel.mmu_notifier import IntervalIndex
+    from repro.kernel.pinning import PinService
+    from repro.openmx.regions import UserRegion
+
+    return {"AddressSpace": AddressSpace, "UserRegion": UserRegion,
+            "PinService": PinService, "RegionIndex": IntervalIndex}
+
+
 def _vm_churn(env: Environment, rounds: int, stack=None):
     """Many processes churning mmap/pin/probe/invalidate on the VM layer.
 
@@ -311,14 +328,12 @@ def _vm_churn(env: Environment, rounds: int, stack=None):
     from repro.hw.cpu import CpuCore
     from repro.hw.memory import PAGE_SIZE, PhysicalMemory
     from repro.hw.specs import XEON_E5460
-    from repro.kernel.address_space import AddressSpace, page_count
-    from repro.kernel.mmu_notifier import CallbackNotifier, IntervalIndex
-    from repro.kernel.pinning import PinService
+    from repro.kernel.address_space import page_count
+    from repro.kernel.mmu_notifier import CallbackNotifier
     from repro.obs.metrics import MetricRegistry
-    from repro.openmx.regions import Segment, UserRegion
+    from repro.openmx.regions import Segment
 
-    s = stack or {"AddressSpace": AddressSpace, "UserRegion": UserRegion,
-                  "PinService": PinService, "RegionIndex": IntervalIndex}
+    s = stack or _vm_stack()
     registry = MetricRegistry()  # private: keep the ambient registry clean
     parts: list[dict | None] = [None] * _VM_PROCS
 
@@ -468,15 +483,50 @@ def _vm_churn(env: Environment, rounds: int, stack=None):
     return probe
 
 
-# name -> (builder, rounds at full scale, rounds at --quick scale)
-SCENARIOS: dict[str, tuple[Callable[..., None], int, int]] = {
-    "timer_churn": (_timer_churn, 6_000, 600),
-    "timeout_ladder": (_timeout_ladder, 3_000, 300),
-    "event_pingpong": (_event_pingpong, 120_000, 12_000),
-    "condition_fanout": (_condition_fanout, 30_000, 3_000),
-    "wheel_storm": (_wheel_storm, 1_500, 150),
-    "datapath_pull": (_datapath_pull, 150, 15),
-    "vm_churn": (_vm_churn, 150, 8),
+def _openmx_shard(rounds: int):
+    """The canned full-stack PDES scenario's parameters at ``rounds``."""
+    from repro.sim.openmx_shard import OpenmxParams
+
+    return OpenmxParams(rounds=rounds)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One bench scenario and what an A/B's reference side swaps.
+
+    ``swaps`` is ``"Environment"`` (``build(env, rounds)`` runs on the
+    reference's engine class), ``"STACK"`` (``build(env, rounds, stack=)``
+    runs on the reference's class stack, which must hold every key
+    ``stack()`` does) or ``"serial"`` (``build(rounds)`` returns the
+    :class:`~repro.sim.openmx_shard.OpenmxParams` whose in-process serial
+    run is the built-in reference for the forked shards).
+    ``state_schema`` is set for the scenarios with a committed drift
+    reference (``--state-json``).
+    """
+
+    build: Callable[..., Any]
+    rounds: int
+    quick_rounds: int
+    swaps: str = "Environment"
+    stack: Callable[[], dict[str, type]] | None = None
+    state_schema: str | None = None
+
+    def rounds_for(self, quick: bool) -> int:
+        return self.quick_rounds if quick else self.rounds
+
+
+SCENARIOS: dict[str, Scenario] = {
+    "timer_churn": Scenario(_timer_churn, 6_000, 600),
+    "timeout_ladder": Scenario(_timeout_ladder, 3_000, 300),
+    "event_pingpong": Scenario(_event_pingpong, 120_000, 12_000),
+    "condition_fanout": Scenario(_condition_fanout, 30_000, 3_000),
+    "wheel_storm": Scenario(_wheel_storm, 1_500, 150),
+    "datapath_pull": Scenario(_datapath_pull, 150, 15, "STACK",
+                              _datapath_stack, "repro.bench.datapath-sim/v1"),
+    "vm_churn": Scenario(_vm_churn, 150, 8, "STACK", _vm_stack,
+                         "repro.bench.vm-sim/v1"),
+    "openmx_shard": Scenario(_openmx_shard, 30, 6, "serial",
+                             state_schema="repro.openmx-shard.sim/v1"),
 }
 
 
@@ -485,630 +535,403 @@ SCENARIOS: dict[str, tuple[Callable[..., None], int, int]] = {
 
 # Engine counters sampled per scenario.  They are read off the
 # Environment *instance* that ran the timed round — each round builds a
-# fresh env, so the counts are per-scenario by construction (an earlier
-# revision threaded two of them positionally through the harness and
-# reported zeros for every scenario that wasn't timer_churn).  getattr
+# fresh env, so the counts are per-scenario by construction.  getattr
 # defaults keep the harness compatible with the frozen seed engine, which
 # has neither the free-list nor the wheel.
 _ENGINE_COUNTERS = ("timeouts_recycled", "timeouts_reused",
                     "wheel_ticks", "wheel_cascades", "wheel_promotions")
 
 
-def _engine_counters(env: Any) -> dict[str, int]:
-    """Snapshot the engine's own counters after a timed round."""
-    return {name: getattr(env, name, 0) for name in _ENGINE_COUNTERS}
+class _Run(NamedTuple):
+    """One timed round of one side of an A/B."""
+
+    wall_s: float
+    events: int
+    state: Any  # simulated end state; None for the engine scenarios
+    stats: dict[str, Any]  # engine counters, or the PDES coordinator's
 
 
-def _time_once(env_cls: type, name: str,
-               rounds: int) -> tuple[float, int, dict[str, int]]:
-    """One timed round: returns (wall_s, events, engine counters)."""
-    builder = SCENARIOS[name][0]
-    env = env_cls()
-    builder(env, rounds)
+def _run_env(sc: Scenario, rounds: int, swapped: Any = None) -> _Run:
+    """One timed round on one engine; ``swapped`` is the reference's
+    ``Environment`` class or ``STACK`` (None: the current tree)."""
+    if sc.swaps == "Environment":
+        env = (swapped or Environment)()
+        probe = sc.build(env, rounds)
+    else:
+        env = Environment()
+        probe = sc.build(env, rounds, stack=swapped)
     start = time.perf_counter()
     env.run()
     wall = time.perf_counter() - start
-    return wall, env.events_processed, _engine_counters(env)
+    counters = {name: getattr(env, name, 0) for name in _ENGINE_COUNTERS}
+    return _Run(wall, env.events_processed, probe() if probe else None,
+                counters)
 
 
-def run_scenario(name: str, quick: bool = False, repeat: int = 3,
-                 env_cls: type = Environment) -> dict[str, Any]:
-    """Run one scenario ``repeat`` times; report the best wall time."""
-    rounds = SCENARIOS[name][2 if quick else 1]
-    best_wall = float("inf")
-    events = 0
-    counters: dict[str, int] = {}
-    for _ in range(repeat):
-        wall, events, counters = _time_once(env_cls, name, rounds)
-        best_wall = min(best_wall, wall)
-    return {
-        "rounds": rounds,
-        "events": events,
-        "wall_s": round(best_wall, 6),
-        "events_per_sec": round(events / best_wall) if best_wall else 0,
-        **counters,
-    }
+def _run_openmx(params: Any, shards: int, mode: str,
+                strategy: str = "block") -> _Run:
+    from repro.sim.openmx_shard import run_openmx
+
+    out = run_openmx(params, shards, mode=mode, strategy=strategy)
+    return _Run(out["stats"]["wall_s"], out["state"]["events"], out["state"],
+                out["stats"])
 
 
-def run_benchmarks(quick: bool = False, repeat: int = 3,
-                   scenarios: list[str] | None = None) -> dict[str, Any]:
-    results: dict[str, Any] = {}
-    for name in scenarios or list(SCENARIOS):
-        results[name] = run_scenario(name, quick=quick, repeat=repeat)
-    total_events = sum(r["events"] for r in results.values())
-    total_wall = sum(r["wall_s"] for r in results.values())
-    return {
-        "schema": "repro.bench.engine/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "scenarios": results,
-        "total": {
-            "events": total_events,
-            "wall_s": round(total_wall, 6),
-            "events_per_sec": round(total_events / total_wall) if total_wall else 0,
-        },
-    }
+def _state_diff(ref: Any, cur: Any, path: str = "") -> list[str]:
+    """Every leaf where two simulated end states differ, by path."""
+    if isinstance(ref, dict) and isinstance(cur, dict):
+        return [line for key in sorted(ref.keys() | cur.keys(), key=str)
+                for line in _state_diff(ref.get(key), cur.get(key),
+                                        f"{path}.{key}" if path else key)]
+    if isinstance(ref, list) and isinstance(cur, list) \
+            and len(ref) == len(cur):
+        return [line for i, (r, c) in enumerate(zip(ref, cur))
+                for line in _state_diff(r, c, f"{path}[{i}]")]
+    return [] if ref == cur else [f"{path}: ref={ref!r} cur={cur!r}"]
 
 
-def _load_engine(path: str) -> type:
-    """Load an Environment class from a standalone engine module file."""
-    spec = importlib.util.spec_from_file_location("repro_sim_engine_ref", path)
-    if spec is None or spec.loader is None:
-        raise SystemExit(f"cannot load reference engine from {path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.Environment
-
-
-def run_ab(ref_path: str, quick: bool = False, repeat: int = 5,
-           scenarios: list[str] | None = None) -> dict[str, Any]:
-    """Interleaved A/B: reference vs current engine, rep by rep.
-
-    Each repetition times the reference engine and then the current engine
-    on the same scenario before moving on, so slow drift in host load hits
-    both sides equally.  Best-of-``repeat`` per side, per scenario.
-    """
-    ref_cls = _load_engine(ref_path)
-    # datapath_pull and vm_churn build on the hw/kernel layers, whose
-    # Resource/Store types belong to the live repro.sim — a foreign engine
-    # class cannot host them.  Each has its own A/B harness
-    # (run_datapath_ab / run_vm_ab) that swaps the layer stack instead of
-    # the engine.
-    names = scenarios or [
-        n for n in SCENARIOS if n not in ("datapath_pull", "vm_churn")
-    ]
-    best: dict[str, dict[str, Any]] = {
-        n: {"ref_wall": float("inf"), "cur_wall": float("inf")} for n in names
-    }
-    for _ in range(repeat):
-        for name in names:
-            rounds = SCENARIOS[name][2 if quick else 1]
-            b = best[name]
-            wall, b["ref_events"], _ = _time_once(ref_cls, name, rounds)
-            b["ref_wall"] = min(b["ref_wall"], wall)
-            wall, b["cur_events"], b["counters"] = _time_once(
-                Environment, name, rounds)
-            b["cur_wall"] = min(b["cur_wall"], wall)
-            b["rounds"] = rounds
-    results: dict[str, Any] = {}
-    tot_ref_w = tot_cur_w = 0.0
-    tot_ref_e = tot_cur_e = 0
-    for name in names:
-        b = best[name]
-        if b["ref_events"] != b["cur_events"]:
+def _gate(label: str, ref: _Run, cur: _Run) -> None:
+    """Abort unless both sides simulated the same world: equal event
+    counts on the engine scenarios, else an equal end state (those sides
+    dispatch different event counts by design)."""
+    if ref.state is None:
+        if ref.events != cur.events:
             raise SystemExit(
-                f"{name}: engines disagree on event count "
-                f"({b['ref_events']} vs {b['cur_events']}) — not comparable"
-            )
-        ref_eps = round(b["ref_events"] / b["ref_wall"])
-        cur_eps = round(b["cur_events"] / b["cur_wall"])
-        results[name] = {
-            "rounds": b["rounds"],
-            "events": b["cur_events"],
-            "wall_s": round(b["cur_wall"], 6),
-            "events_per_sec": cur_eps,
-            "baseline_wall_s": round(b["ref_wall"], 6),
-            "baseline_events_per_sec": ref_eps,
-            "speedup": round(cur_eps / ref_eps, 3),
-            **b["counters"],
-        }
-        tot_ref_w += b["ref_wall"]
-        tot_cur_w += b["cur_wall"]
-        tot_ref_e += b["ref_events"]
-        tot_cur_e += b["cur_events"]
-    ref_total_eps = round(tot_ref_e / tot_ref_w) if tot_ref_w else 0
-    cur_total_eps = round(tot_cur_e / tot_cur_w) if tot_cur_w else 0
-    return {
-        "schema": "repro.bench.engine/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "ab_reference": ref_path,
-        "scenarios": results,
-        "total": {
-            "events": tot_cur_e,
-            "wall_s": round(tot_cur_w, 6),
-            "events_per_sec": cur_total_eps,
-            "baseline_wall_s": round(tot_ref_w, 6),
-            "baseline_events_per_sec": ref_total_eps,
-            "speedup": round(cur_total_eps / ref_total_eps, 3)
-            if ref_total_eps else 0.0,
-        },
-    }
-
-
-def _load_stack(path: str) -> dict[str, type]:
-    """Load a class stack (``STACK``) from a frozen reference module."""
-    spec = importlib.util.spec_from_file_location("repro_stack_ref", path)
-    if spec is None or spec.loader is None:
-        raise SystemExit(f"cannot load reference stack from {path}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.STACK
-
-
-def _time_datapath(rounds: int, stack=None) -> tuple[float, int, dict[str, Any]]:
-    """One timed datapath run: (wall_s, engine events, simulated end state)."""
-    env = Environment()
-    probe = _datapath_pull(env, rounds, stack=stack)
-    start = time.perf_counter()
-    env.run()
-    wall = time.perf_counter() - start
-    return wall, env.events_processed, probe()
-
-
-def datapath_sim_state(quick: bool = False) -> dict[str, Any]:
-    """The ``datapath_pull`` scenario's deterministic simulated end state.
-
-    Every field is an exact simulation output (no wall-clock noise), so CI
-    can diff it against a committed reference with zero tolerance — any
-    change means the coalescing stopped being byte-identical.
-    """
-    rounds = SCENARIOS["datapath_pull"][2 if quick else 1]
-    _, _, state = _time_datapath(rounds)
-    return {
-        "schema": "repro.bench.datapath-sim/v1",
-        "quick": quick,
-        "rounds": rounds,
-        "state": state,
-    }
-
-
-def run_datapath_ab(ref_path: str, quick: bool = False,
-                    repeat: int = 5) -> dict[str, Any]:
-    """Interleaved A/B of the datapath stacks: frozen seed vs current.
-
-    Both stacks run the ``datapath_pull`` scenario on the *current* engine,
-    rep by rep (ref, current, ref, current, ...).  The two sides execute
-    different numbers of heap events — that is the optimization — so the
-    equivalence check compares the full simulated end state instead:
-    identical final clock and identical frame/byte/drop/BH counters, or
-    the run aborts.
-    """
-    stack = _load_stack(ref_path)
-    rounds = SCENARIOS["datapath_pull"][2 if quick else 1]
-    ref_wall = cur_wall = float("inf")
-    ref_events = cur_events = 0
-    ref_state: dict[str, Any] = {}
-    cur_state: dict[str, Any] = {}
-    for _ in range(repeat):
-        wall, ref_events, ref_state = _time_datapath(rounds, stack=stack)
-        ref_wall = min(ref_wall, wall)
-        wall, cur_events, cur_state = _time_datapath(rounds)
-        cur_wall = min(cur_wall, wall)
-    if ref_state != cur_state:
-        diffs = [
-            f"{key}: ref={ref_state.get(key)!r} cur={cur_state.get(key)!r}"
-            for key in sorted(ref_state.keys() | cur_state.keys())
-            if ref_state.get(key) != cur_state.get(key)
-        ]
+                f"{label}: engines disagree on event count "
+                f"({ref.events} vs {cur.events}) — not comparable")
+        return
+    diffs = _state_diff(ref.state, cur.state)
+    if diffs:
         raise SystemExit(
-            "datapath stacks disagree on simulated end state — not comparable:\n  "
-            + "\n  ".join(diffs)
-        )
-    return {
-        "schema": "repro.bench.datapath/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "ab_reference": ref_path,
-        "rounds": rounds,
-        "sim_state": cur_state,
-        "events": cur_events,
-        "baseline_events": ref_events,
-        "event_reduction": round(1 - cur_events / ref_events, 3)
-        if ref_events else 0.0,
-        "wall_s": round(cur_wall, 6),
-        "baseline_wall_s": round(ref_wall, 6),
-        "speedup": round(ref_wall / cur_wall, 3) if cur_wall else 0.0,
-    }
+            f"{label}: reference and current disagree on simulated end "
+            "state — not comparable:\n  " + "\n  ".join(diffs))
 
 
-def format_datapath_report(report: dict[str, Any]) -> str:
-    state = report["sim_state"]
-    return "\n".join([
-        f"datapath_pull ({report['rounds']} rounds, "
-        f"best of {report['repeat']}):",
-        f"  seed stack    {report['baseline_events']:>10,} events "
-        f"{report['baseline_wall_s']:>9.4f} s",
-        f"  current stack {report['events']:>10,} events "
-        f"{report['wall_s']:>9.4f} s",
-        f"  event reduction {report['event_reduction']:.1%}, "
-        f"speedup {report['speedup']:.2f}x",
-        f"  end state: t={state['now_ns']:,} ns, "
-        f"{state['handled_frames']} frames handled, "
-        f"{state['bh_runs']} BH runs, "
-        f"{state['ksoftirqd_rounds']} ksoftirqd rounds, "
-        f"{state['rx_ring_drops']} ring drops  [identical on both stacks]",
-    ])
-
-
-def _time_vm(rounds: int, stack=None) -> tuple[float, int, dict[str, Any]]:
-    """One timed vm_churn run: (wall_s, engine events, simulated end state)."""
-    env = Environment()
-    probe = _vm_churn(env, rounds, stack=stack)
-    start = time.perf_counter()
-    env.run()
-    wall = time.perf_counter() - start
-    return wall, env.events_processed, probe()
-
-
-def vm_sim_state(quick: bool = False) -> dict[str, Any]:
-    """The ``vm_churn`` scenario's deterministic simulated end state.
-
-    Exact simulation outputs only (final clock, per-process VM/pin/notifier
-    counters, data digests) — CI diffs it against a committed reference
-    with zero tolerance; any change means a VM-layer index stopped being
-    behaviour-identical.
-    """
-    rounds = SCENARIOS["vm_churn"][2 if quick else 1]
-    _, _, state = _time_vm(rounds)
-    return {
-        "schema": "repro.bench.vm-sim/v1",
-        "quick": quick,
-        "rounds": rounds,
-        "state": state,
-    }
-
-
-def run_vm_ab(ref_path: str, quick: bool = False,
-              repeat: int = 5) -> dict[str, Any]:
-    """Interleaved A/B of the VM-layer stacks: frozen seed vs current.
-
-    Both stacks run the ``vm_churn`` scenario on the *current* engine, rep
-    by rep (ref, current, ref, current, ...).  The indexed stack executes
-    fewer engine events (fused pin charges) — so the equivalence check
-    compares the full simulated end state instead: identical final clock
-    and identical per-process counters/digests, or the run aborts.
-    """
-    stack = _load_stack(ref_path)
-    rounds = SCENARIOS["vm_churn"][2 if quick else 1]
-    ref_wall = cur_wall = float("inf")
-    ref_events = cur_events = 0
-    ref_state: dict[str, Any] = {}
-    cur_state: dict[str, Any] = {}
+def _interleave(label: str, sides: list[Callable[[], _Run]],
+                repeat: int) -> list[_Run]:
+    """Best-of-``repeat`` per side; within each repetition the sides run
+    back to back (reference first) and must pass :func:`_gate`."""
+    best: list[_Run | None] = [None] * len(sides)
     for _ in range(repeat):
-        wall, ref_events, ref_state = _time_vm(rounds, stack=stack)
-        ref_wall = min(ref_wall, wall)
-        wall, cur_events, cur_state = _time_vm(rounds)
-        cur_wall = min(cur_wall, wall)
-    if ref_state != cur_state:
-        diffs = [f"now_ns: ref={ref_state.get('now_ns')!r} "
-                 f"cur={cur_state.get('now_ns')!r}"] \
-            if ref_state.get("now_ns") != cur_state.get("now_ns") else []
-        for pid, (rp, cp) in enumerate(zip(ref_state.get("procs", []),
-                                           cur_state.get("procs", []))):
-            rp, cp = rp or {}, cp or {}
-            diffs += [
-                f"proc{pid}.{key}: ref={rp.get(key)!r} cur={cp.get(key)!r}"
-                for key in sorted(rp.keys() | cp.keys())
-                if rp.get(key) != cp.get(key)
-            ]
-        raise SystemExit(
-            "VM stacks disagree on simulated end state — not comparable:\n  "
-            + "\n  ".join(diffs)
-        )
+        runs = [side() for side in sides]
+        if len(runs) == 2:
+            _gate(label, *runs)
+        best = [run if b is None or run.wall_s < b.wall_s else b
+                for b, run in zip(best, runs)]
+    return best
+
+
+def _rate(events: int, wall: float) -> int:
+    return round(events / wall) if wall else 0
+
+
+def _openmx_extras(params: Any, shards: int, serial: _Run,
+                   sharded: _Run) -> dict[str, Any]:
+    """The partition comparison — one sharded run per strategy, each
+    gated against the serial end state — and the PDES coordinator stats."""
+    from repro.sim.pdes import host_core_count
+
+    strategies = {}
+    for strategy in ("block", "stripe", "affinity"):
+        run = _run_openmx(params, shards, "fork", strategy)
+        _gate(f"openmx_shard ({strategy} partition)", serial, run)
+        strategies[strategy] = run.stats["cross_shard_frames"]
+    stats = sharded.stats
+    host_cores = host_core_count()
     return {
-        "schema": "repro.bench.vm/v1",
-        "quick": quick,
-        "repeat": repeat,
-        "ab_reference": ref_path,
-        "rounds": rounds,
-        "sim_state": cur_state,
-        "events": cur_events,
-        "baseline_events": ref_events,
-        "event_reduction": round(1 - cur_events / ref_events, 3)
-        if ref_events else 0.0,
-        "wall_s": round(cur_wall, 6),
-        "baseline_wall_s": round(ref_wall, 6),
-        "speedup": round(ref_wall / cur_wall, 3) if cur_wall else 0.0,
-    }
-
-
-def format_vm_report(report: dict[str, Any]) -> str:
-    state = report["sim_state"]
-    procs = [p for p in state["procs"] if p]
-    return "\n".join([
-        f"vm_churn ({report['rounds']} rounds x {len(state['procs'])} procs, "
-        f"best of {report['repeat']}):",
-        f"  seed stack    {report['baseline_events']:>10,} events "
-        f"{report['baseline_wall_s']:>9.4f} s",
-        f"  current stack {report['events']:>10,} events "
-        f"{report['wall_s']:>9.4f} s",
-        f"  event reduction {report['event_reduction']:.1%}, "
-        f"speedup {report['speedup']:.2f}x",
-        f"  end state: t={state['now_ns']:,} ns, "
-        f"{sum(p['faults'] for p in procs)} faults, "
-        f"{sum(p['pins'] for p in procs)} pins, "
-        f"{sum(p['invalidations'] for p in procs)} invalidations, "
-        f"{sum(p['notifier_unpins'] for p in procs)} notifier unpins"
-        "  [identical on both stacks]",
-    ])
-
-
-def run_openmx_shard(quick: bool = False, shards: int = 4, repeat: int = 3,
-                     strategy: str = "block") -> dict[str, Any]:
-    """Run the full-stack ``openmx_shard`` scenario at one shard count."""
-    from repro.sim.openmx_shard import openmx_params, run_openmx
-
-    params = openmx_params(quick=quick)
-    best = None
-    for _ in range(repeat):
-        out = run_openmx(params, shards, strategy=strategy)
-        if best is None or out["stats"]["wall_s"] < best["stats"]["wall_s"]:
-            best = out
-    stats = best["stats"]
-    return {
-        "schema": "repro.bench.openmx-shard-run/v1",
-        "quick": quick,
-        "repeat": repeat,
         "nhosts": params.nhosts,
         "shards": stats["shards"],
-        "mode": stats["mode"],
-        "strategy": stats["strategy"],
+        "host_cores": host_cores,
+        "core_starved": host_cores < stats["shards"],
         "windows": stats["windows"],
-        "advance_ns": stats["advance_ns"],
         "cross_shard_frames": stats["cross_shard_frames"],
-        "wall_s": round(stats["wall_s"], 6),
-        "critical_path_s": round(stats["critical_path_s"], 6),
         "barrier_idle_s": round(stats["barrier_idle_s"], 6),
-        "events": best["state"]["events"],
-        "digest": best["state"]["digest"],
+        "critical_path_s": round(stats["critical_path_s"], 6),
+        "critical_path_speedup": round(
+            serial.wall_s / stats["critical_path_s"], 3)
+        if stats["critical_path_s"] else 0.0,
+        "strategies": strategies,
+        "affinity_cut_vs_block":
+            round(1 - strategies["affinity"] / (strategies["block"] or 1), 3),
+        "affinity_cut_vs_stripe":
+            round(1 - strategies["affinity"] / (strategies["stripe"] or 1), 3),
+        "digest": sharded.state["digest"],
     }
 
 
-def format_openmx_shard_report(report: dict[str, Any]) -> str:
-    return "\n".join([
-        f"openmx_shard ({report['nhosts']} hosts, {report['shards']} "
-        f"shard(s), {report['mode']}, {report['strategy']} partition, "
-        f"best of {report['repeat']}):",
-        f"  {report['events']:,} events in {report['wall_s']:.4f} s "
-        f"across {report['windows']} windows "
-        f"({report['advance_ns']:,} ns simulated)",
-        f"  {report['cross_shard_frames']} cross-shard frames, "
-        f"critical path {report['critical_path_s']:.4f} s, "
-        f"barrier idle {report['barrier_idle_s']:.4f} s",
-        f"  end-state digest {report['digest']}",
-    ])
+def _measure(name: str, ref: Any, quick: bool, repeat: int,
+             shards: int) -> dict[str, Any]:
+    """One scenario's report row: time it (interleaved against its
+    reference when it has one) and gate every repetition."""
+    sc = SCENARIOS[name]
+    rounds = sc.rounds_for(quick)
+    if sc.swaps == "serial":
+        params = sc.build(rounds)
+        sides = [partial(_run_openmx, params, 1, "inline"),
+                 partial(_run_openmx, params, shards, "fork")]
+    else:
+        sides = [partial(_run_env, sc, rounds)]
+        if ref is not None:
+            sides.insert(0, partial(_run_env, sc, rounds,
+                                    getattr(ref, sc.swaps)))
+    *base, cur = _interleave(name, sides, repeat)
+    row = {"rounds": rounds, "events": cur.events,
+           "wall_s": round(cur.wall_s, 6),
+           "events_per_sec": _rate(cur.events, cur.wall_s)}
+    if base:
+        b = base[0]
+        row.update(
+            baseline_events=b.events,
+            baseline_wall_s=round(b.wall_s, 6),
+            baseline_events_per_sec=_rate(b.events, b.wall_s),
+            event_reduction=round(1 - cur.events / b.events, 3)
+            if b.events else 0.0,
+            speedup=round(b.wall_s / cur.wall_s, 3) if cur.wall_s else 0.0)
+    if sc.swaps == "serial":
+        row.update(_openmx_extras(params, shards, base[0], cur))
+    else:
+        row.update(cur.stats)
+        if cur.state is not None:
+            row["sim_state"] = cur.state
+    return row
 
 
-def format_openmx_ab_report(report: dict[str, Any]) -> str:
-    strat = report["strategies"]
+def _load_reference(path: str) -> Any:
+    """Import a frozen reference module from a file."""
+    spec = importlib.util.spec_from_file_location("repro_bench_reference",
+                                                  path)
+    if spec is None or spec.loader is None:
+        raise ValueError(f"--ab {path}: not a Python module")
+    module = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    except OSError as exc:
+        raise ValueError(f"--ab {path}: {exc}") from None
+    return module
+
+
+def _misfit(name: str, ref: Any, path: str) -> str | None:
+    """Why the ``--ab`` reference cannot swap into scenario ``name``."""
+    sc = SCENARIOS[name]
+    if sc.swaps == "serial":
+        return (f"{name}: its reference (the in-process serial run) is built "
+                "in; name it without --ab")
+    exports = [attr for attr in ("Environment", "STACK") if hasattr(ref, attr)]
+    if sc.swaps not in exports:
+        return (f"{name}: swaps {sc.swaps}, but {path} exports "
+                f"{' and '.join(exports) or 'neither Environment nor STACK'}")
+    if sc.swaps == "STACK":
+        missing = sorted(set(sc.stack()) - set(ref.STACK))
+        if missing:
+            return (f"{name}: builds on STACK {sorted(sc.stack())}, but "
+                    f"{path}'s STACK lacks {missing}")
+    return None
+
+
+def _select(names: list[str], ref_path: str | None) -> tuple[list[str], Any]:
+    """Resolve which scenarios run and load the ``--ab`` reference,
+    raising ValueError on any mismatch before anything runs."""
+    unknown = [n for n in names if n not in SCENARIOS]
+    if unknown:
+        raise ValueError(f"unknown scenario(s) {unknown}; choose from "
+                         f"{list(SCENARIOS)}")
+    if ref_path is None:
+        return (list(names) or [n for n, sc in SCENARIOS.items()
+                                if sc.swaps != "serial"]), None
+    ref = _load_reference(ref_path)
+    if names:
+        misfits = [why for n in names if (why := _misfit(n, ref, ref_path))]
+        if misfits:
+            raise ValueError("\n".join(misfits))
+        return list(names), ref
+    fits = [n for n in SCENARIOS if _misfit(n, ref, ref_path) is None]
+    if not fits:
+        raise ValueError(f"--ab {ref_path}: no scenario fits it; it exports "
+                         "neither an Environment nor a STACK any scenario "
+                         "builds on")
+    return fits, ref
+
+
+def run_benchmarks(scenarios: list[str] | None = None, *, quick: bool = False,
+                   repeat: int = 3, ref: str | None = None,
+                   shards: int = 4) -> dict[str, Any]:
+    """Time ``scenarios`` (default: every single-engine scenario, or with
+    ``ref`` every scenario the reference fits) into one report."""
+    names, module = _select(list(scenarios or []), ref)
+    return _report(names, module, ref, quick=quick, repeat=repeat,
+                   shards=shards)
+
+
+def _report(names: list[str], module: Any, ref: str | None, *, quick: bool,
+            repeat: int, shards: int) -> dict[str, Any]:
+    rows = {name: _measure(name, module, quick, repeat, shards)
+            for name in names}
+    events = sum(r["events"] for r in rows.values())
+    wall = sum(r["wall_s"] for r in rows.values())
+    total: dict[str, Any] = {"events": events, "wall_s": round(wall, 6),
+                             "events_per_sec": _rate(events, wall)}
+    if all("baseline_wall_s" in r for r in rows.values()):
+        base_events = sum(r["baseline_events"] for r in rows.values())
+        base_wall = sum(r["baseline_wall_s"] for r in rows.values())
+        total.update(baseline_events=base_events,
+                     baseline_wall_s=round(base_wall, 6),
+                     baseline_events_per_sec=_rate(base_events, base_wall),
+                     speedup=round(base_wall / wall, 3) if wall else 0.0)
+    report = {"schema": "repro.bench/v2", "quick": quick, "repeat": repeat,
+              "scenarios": rows, "total": total}
+    if ref is not None:
+        report["ab_reference"] = ref
+    return report
+
+
+def sim_state(name: str, quick: bool = False, shards: int = 1
+              ) -> dict[str, Any]:
+    """Scenario ``name``'s exact simulated end state (no wall-clock
+    noise), which the drift gates diff with zero tolerance."""
+    sc = SCENARIOS[name]
+    if sc.swaps == "serial":
+        from repro.sim.openmx_shard import openmx_sim_state
+
+        return openmx_sim_state(quick=quick, shards=shards)
+    rounds = sc.rounds_for(quick)
+    return {"schema": sc.state_schema, "quick": quick, "rounds": rounds,
+            "state": _run_env(sc, rounds).state}
+
+
+def _format_openmx(row: dict[str, Any]) -> list[str]:
     lines = [
-        f"openmx_shard A/B (full Open-MX stack, {report['nhosts']} hosts; "
-        f"serial vs {report['shards']} forked shards, best of "
-        f"{report['repeat']}, {report['host_cores']} host cores):",
-        f"  serial  {report['events']:>10,} events "
-        f"{report['serial_wall_s']:>9.4f} s",
-        f"  sharded {report['events']:>10,} events "
-        f"{report['sharded_wall_s']:>9.4f} s "
-        f"({report['windows']} windows, "
-        f"{report['cross_shard_frames']} cross-shard frames)",
-        f"  wall speedup {report['speedup']:.2f}x; critical path "
-        f"{report['critical_path_s']:.4f} s "
-        f"({report['critical_path_speedup']:.2f}x attainable with "
-        f">= {report['shards']} free cores)",
+        f"openmx_shard: {row['nhosts']} hosts, serial "
+        f"{row['baseline_wall_s']:.4f} s vs {row['shards']} forked shards "
+        f"{row['wall_s']:.4f} s ({row['windows']} windows, "
+        f"{row['cross_shard_frames']} cross-shard frames, "
+        f"{row['host_cores']} host cores)",
+        f"  wall speedup {row['speedup']:.2f}x; critical path "
+        f"{row['critical_path_s']:.4f} s "
+        f"({row['critical_path_speedup']:.2f}x attainable with "
+        f">= {row['shards']} free cores)",
     ]
-    if report.get("core_starved"):
+    if row["core_starved"]:
         lines.append(
-            f"  CORE-STARVED: {report['host_cores']} cores < "
-            f"{report['shards']} shards — wall speedup is meaningless "
+            f"  CORE-STARVED: {row['host_cores']} cores < "
+            f"{row['shards']} shards — wall speedup is meaningless "
             "here; critical path is the honest number "
             "(try --shards auto)")
-    lines.extend([
+    strat = row["strategies"]
+    lines += [
         "  partition strategies (cross-shard frames, identical digests): "
         + ", ".join(f"{k}={v}" for k, v in strat.items()),
-        f"  affinity cut: {report['affinity_cut_vs_block']:.1%} vs block, "
-        f"{report['affinity_cut_vs_stripe']:.1%} vs stripe",
-        f"  end-state digest {report['digest']}  "
+        f"  affinity cut: {row['affinity_cut_vs_block']:.1%} vs block, "
+        f"{row['affinity_cut_vs_stripe']:.1%} vs stripe",
+        f"  end-state digest {row['digest']}  "
         "[identical serial and all sharded runs]",
-    ])
-    return "\n".join(lines)
-
-
-def annotate_speedup(report: dict[str, Any], baseline: dict[str, Any]) -> None:
-    """Attach per-scenario and aggregate speedups vs a prior report."""
-    base = baseline.get("scenarios", {})
-    for name, r in report["scenarios"].items():
-        b = base.get(name)
-        if b and b.get("events_per_sec"):
-            r["baseline_events_per_sec"] = b["events_per_sec"]
-            r["speedup"] = round(r["events_per_sec"] / b["events_per_sec"], 3)
-    b_total = baseline.get("total", {})
-    if b_total.get("events_per_sec"):
-        report["total"]["baseline_events_per_sec"] = b_total["events_per_sec"]
-        report["total"]["speedup"] = round(
-            report["total"]["events_per_sec"] / b_total["events_per_sec"], 3
-        )
+    ]
+    return lines
 
 
 def format_report(report: dict[str, Any]) -> str:
     lines = [f"{'scenario':18s} {'events':>10s} {'wall s':>9s} "
              f"{'events/sec':>12s} {'recycled':>9s} {'ticks':>9s} "
              f"{'speedup':>8s}"]
-    rows = list(report["scenarios"].items()) + [
-        ("TOTAL", {**report["total"],
-                   "timeouts_recycled": "", "wheel_ticks": ""})
-    ]
+    rows = list(report["scenarios"].items()) + [("TOTAL", report["total"])]
     for name, r in rows:
         speedup = r.get("speedup")
         lines.append(
             f"{name:18s} {r['events']:>10,} {r['wall_s']:>9.4f} "
-            f"{r['events_per_sec']:>12,} {str(r.get('timeouts_recycled', '')):>9s} "
+            f"{r['events_per_sec']:>12,} "
+            f"{str(r.get('timeouts_recycled', '')):>9s} "
             f"{str(r.get('wheel_ticks', '')):>9s} "
             f"{f'{speedup:.2f}x' if speedup else '-':>8s}"
         )
+    for name, r in report["scenarios"].items():
+        if "strategies" in r:
+            lines += _format_openmx(r)
+        elif r.get("baseline_events", r["events"]) != r["events"]:
+            lines.append(
+                f"{name}: {r['baseline_events']:,} reference events -> "
+                f"{r['events']:,} ({r['event_reduction']:.1%} fewer), "
+                "simulated end state identical")
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim.bench",
-        description="Microbenchmark the discrete-event engine hot path.",
-    )
-    parser.add_argument("--quick", action="store_true",
-                        help="small rounds for CI smoke runs")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="timed repetitions per scenario, best-of (default 3)")
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the machine-readable report here")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="prior report to compute speedups against")
-    parser.add_argument("--ab", metavar="ENGINE_PY",
-                        help="interleaved A/B against a frozen engine module "
-                             "(e.g. benchmarks/engine_seed_reference.py)")
-    parser.add_argument("--ab-datapath", metavar="STACK_PY",
-                        help="interleaved A/B of the datapath_pull scenario "
-                             "against a frozen Nic/Fabric/SoftirqEngine stack "
-                             "(e.g. benchmarks/datapath_seed_reference.py)")
-    parser.add_argument("--ab-vm", metavar="STACK_PY",
-                        help="interleaved A/B of the vm_churn scenario "
-                             "against a frozen AddressSpace/UserRegion/"
-                             "PinService/region-index stack "
-                             "(e.g. benchmarks/vm_seed_reference.py)")
-    parser.add_argument("--ab-openmx", action="store_true",
-                        help="interleaved A/B of the full-stack openmx_shard "
-                             "scenario: serial vs --shards forked workers "
-                             "with an end-state equality gate, plus a "
-                             "block/stripe/affinity partition comparison")
-    parser.add_argument("--shards", default="4",
-                        help="PDES shard count for openmx_shard / "
-                             "--ab-openmx / --openmx-sim-json; "
-                             "'auto' caps the default at the host's usable "
-                             "cores (default 4)")
-    parser.add_argument("--sim-json", metavar="PATH",
-                        help="write the datapath_pull simulated end state "
-                             "(exact, for the CI drift gate)")
-    parser.add_argument("--vm-sim-json", metavar="PATH",
-                        help="write the vm_churn simulated end state "
-                             "(exact, for the CI drift gate)")
-    parser.add_argument("--openmx-sim-json", metavar="PATH",
-                        help="write the openmx_shard simulated end state at "
-                             "--shards shards (exact; CI diffs it across "
-                             "shard counts)")
-    parser.add_argument("scenario", nargs="*",
-                        choices=[[], *SCENARIOS, "openmx_shard"],
-                        help="subset of scenarios (default: all engine "
-                             "scenarios; openmx_shard runs at --shards "
-                             "shards)")
-    args = parser.parse_args(argv)
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _write_json(path: str, data: dict[str, Any]) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _parser() -> argparse.ArgumentParser:
     from repro.sim.pdes import resolve_shards
 
-    args.shards = resolve_shards(args.shards)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.sim.bench",
+        description="Microbenchmark the simulator's hot paths, optionally "
+                    "interleaved against a frozen reference.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("scenario", nargs="*", metavar="SCENARIO",
+                        help=f"from: {', '.join(SCENARIOS)} (default: every "
+                             "single-engine scenario, or every one --ab fits)")
+    parser.add_argument("--quick", action="store_true",
+                        help="small rounds for CI smoke runs")
+    parser.add_argument("--repeat", type=_positive_int, default=3,
+                        metavar="N",
+                        help="timed repetitions per side, best-of "
+                             "(default 3)")
+    parser.add_argument("--json", metavar="PATH",
+                        help="write the machine-readable report here")
+    parser.add_argument("--ab", metavar="REF",
+                        help="interleaved A/B against the Environment or "
+                             "STACK a frozen reference module exports "
+                             "(e.g. benchmarks/engine_seed_reference.py)")
+    parser.add_argument("--shards", type=resolve_shards, default="4",
+                        metavar="N",
+                        help="PDES shard count for openmx_shard; 'auto' "
+                             "caps the default at the host's usable cores "
+                             "(default 4)")
+    parser.add_argument("--state-json", metavar="PATH",
+                        help="write one scenario's exact simulated end "
+                             "state here (no timing) for a drift gate")
+    return parser
 
-    if args.sim_json:
-        state = datapath_sim_state(quick=args.quick)
-        with open(args.sim_json, "w") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"(datapath sim state saved to {args.sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_openmx
-                or args.vm_sim_json or args.openmx_sim_json or args.scenario):
-            return 0
 
-    if args.vm_sim_json:
-        state = vm_sim_state(quick=args.quick)
-        with open(args.vm_sim_json, "w") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"(vm sim state saved to {args.vm_sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_openmx
-                or args.openmx_sim_json or args.scenario):
-            return 0
-
-    if args.openmx_sim_json:
-        from repro.sim.openmx_shard import openmx_sim_state
-
-        state = openmx_sim_state(quick=args.quick, shards=args.shards)
-        with open(args.openmx_sim_json, "w") as fh:
-            json.dump(state, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"(openmx sim state at {args.shards} shard(s) saved to "
-              f"{args.openmx_sim_json})")
-        if not (args.ab or args.ab_datapath or args.ab_vm or args.ab_openmx
-                or args.scenario):
-            return 0
-
-    if args.ab_openmx:
-        from repro.sim.openmx_shard import run_openmx_ab
-
-        report = run_openmx_ab(quick=args.quick, shards=args.shards,
-                               repeat=args.repeat)
-        print(format_openmx_ab_report(report))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"(report saved to {args.json})")
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
+    args = parser.parse_intermixed_args(argv)
+    if args.state_json is not None:
+        with_state = [n for n, sc in SCENARIOS.items() if sc.state_schema]
+        if len(args.scenario) != 1:
+            parser.error(f"--state-json needs exactly one scenario, got "
+                         f"{len(args.scenario)}; choose from {with_state}")
+        name = args.scenario[0]
+        if name not in with_state:
+            parser.error(f"--state-json: {name} has no state schema; choose "
+                         f"from {with_state}")
+        if args.ab is not None or args.json is not None:
+            parser.error("--state-json writes the end state only; drop --ab "
+                         "and --json")
+        _write_json(args.state_json,
+                    sim_state(name, quick=args.quick, shards=args.shards))
+        print(f"({name} sim state saved to {args.state_json})")
         return 0
-
-    if args.ab_datapath:
-        report = run_datapath_ab(args.ab_datapath, quick=args.quick,
-                                 repeat=args.repeat)
-        print(format_datapath_report(report))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"(report saved to {args.json})")
-        return 0
-
-    if args.ab_vm:
-        report = run_vm_ab(args.ab_vm, quick=args.quick, repeat=args.repeat)
-        print(format_vm_report(report))
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"(report saved to {args.json})")
-        return 0
-
-    scenarios = list(args.scenario or [])
-    if "openmx_shard" in scenarios:
-        scenarios = [s for s in scenarios if s != "openmx_shard"]
-        report = run_openmx_shard(quick=args.quick, shards=args.shards,
-                                  repeat=args.repeat)
-        print(format_openmx_shard_report(report))
-        if not scenarios:
-            if args.json:
-                with open(args.json, "w") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"(report saved to {args.json})")
-            return 0
-
-    if args.ab:
-        report = run_ab(args.ab, quick=args.quick, repeat=args.repeat,
-                        scenarios=scenarios or None)
-    else:
-        report = run_benchmarks(quick=args.quick, repeat=args.repeat,
-                                scenarios=scenarios or None)
-    if args.baseline:
-        with open(args.baseline) as fh:
-            annotate_speedup(report, json.load(fh))
+    try:
+        names, module = _select(args.scenario, args.ab)
+    except ValueError as exc:
+        parser.error(str(exc))
+    report = _report(names, module, args.ab, quick=args.quick,
+                     repeat=args.repeat, shards=args.shards)
     print(format_report(report))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json, report)
         print(f"(report saved to {args.json})")
     return 0
 

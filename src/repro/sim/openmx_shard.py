@@ -58,7 +58,6 @@ from repro.sim.engine import Environment
 from repro.sim.pdes import (
     SeededFaultPlan,
     _mix,
-    host_core_count,
     run_partitioned,
 )
 from repro.util.units import MIB
@@ -72,7 +71,6 @@ __all__ = [
     "openmx_params",
     "openmx_sim_state",
     "run_openmx",
-    "run_openmx_ab",
     "schedule",
     "traffic_matrix",
 ]
@@ -398,7 +396,7 @@ def run_openmx(params: OpenmxParams, nshards: int, *,
     return out
 
 
-# -- canned scenario + A/B harness -------------------------------------------
+# -- canned scenario ---------------------------------------------------------
 
 
 def openmx_params(quick: bool = False, seed: int = 2009,
@@ -435,72 +433,4 @@ def openmx_sim_state(quick: bool = False, shards: int = 1, seed: int = 2009,
         "strategy": strategy,
         "clean": clean["state"],
         "chaos": chaos["state"],
-    }
-
-
-def run_openmx_ab(quick: bool = False, shards: int = 4, repeat: int = 2,
-                  seed: int = 2009, lookahead_ns: int | None = None) -> dict:
-    """Interleaved serial-vs-sharded A/B over the full Open-MX stack.
-
-    Aborts the process on the first end-state divergence.  Also runs the
-    sharded scenario once per partition strategy (block / stripe /
-    affinity) — every strategy must land on the same digest, and the
-    report shows how much cross-shard traffic affinity placement saves.
-    """
-    params = openmx_params(quick=quick, seed=seed)
-    serial_best = float("inf")
-    sharded_best = float("inf")
-    golden = None
-    best_stats = None
-    for _ in range(repeat):
-        a = run_openmx(params, 1, mode="inline", lookahead_ns=lookahead_ns)
-        b = run_openmx(params, shards, mode="fork",
-                       lookahead_ns=lookahead_ns)
-        if a["state"] != b["state"]:
-            raise SystemExit(
-                "openmx_shard A/B divergence: serial digest "
-                f"{a['state']['digest']} != sharded ({shards}) digest "
-                f"{b['state']['digest']}")
-        golden = a["state"]
-        serial_best = min(serial_best, a["stats"]["wall_s"])
-        if b["stats"]["wall_s"] < sharded_best:
-            sharded_best = b["stats"]["wall_s"]
-            best_stats = b["stats"]
-
-    strategies: dict[str, int] = {}
-    for strat in ("block", "stripe", "affinity"):
-        out = run_openmx(params, shards, mode="fork",
-                         lookahead_ns=lookahead_ns, strategy=strat)
-        if out["state"] != golden:
-            raise SystemExit(
-                f"openmx_shard strategy {strat!r} diverged from the serial "
-                f"end state: {out['state']['digest']} != {golden['digest']}")
-        strategies[strat] = out["stats"]["cross_shard_frames"]
-
-    host_cores = host_core_count()
-    block = strategies["block"] or 1
-    stripe = strategies["stripe"] or 1
-    return {
-        "schema": "repro.bench.openmx-shard/v1",
-        "scenario": "openmx_shard",
-        "quick": quick,
-        "nhosts": params.nhosts,
-        "shards": shards,
-        "repeat": repeat,
-        "host_cores": host_cores,
-        "core_starved": host_cores < shards,
-        "serial_wall_s": serial_best,
-        "sharded_wall_s": sharded_best,
-        "speedup": serial_best / sharded_best if sharded_best else 0.0,
-        "critical_path_s": best_stats["critical_path_s"],
-        "critical_path_speedup": (serial_best / best_stats["critical_path_s"]
-                                  if best_stats["critical_path_s"] else 0.0),
-        "windows": best_stats["windows"],
-        "cross_shard_frames": best_stats["cross_shard_frames"],
-        "barrier_idle_s": best_stats["barrier_idle_s"],
-        "strategies": strategies,
-        "affinity_cut_vs_block": 1.0 - strategies["affinity"] / block,
-        "affinity_cut_vs_stripe": 1.0 - strategies["affinity"] / stripe,
-        "digest": golden["digest"],
-        "events": golden["events"],
     }
